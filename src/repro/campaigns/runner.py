@@ -7,9 +7,12 @@ A campaign's plan is partitioned into **units**, the checkpoint granularity:
 
 * a replication group that the vector engine can batch (when the campaign
   runs on the ``vector`` backend) is **one unit** — the whole lockstep
-  batch runs or re-runs together, because a vectorized result is a
-  deterministic function of the entire ordered batch (see
-  :func:`repro.experiments.plan.batch_signature`), not of its own spec;
+  batch runs or re-runs together, filed under layout
+  ``vector-live:<batch signature>`` (see
+  :func:`repro.experiments.plan.batch_signature`).  The ``vector-live``
+  tag names the live-set coin layout (one coin per live packet per slot);
+  vector units stored under an earlier layout tag are re-run on resume
+  rather than mixed with it;
 * every other spec is individually deterministic, so scalar runs are
   chunked into units of ``checkpoint_every`` and each run can be skipped
   or re-run on its own.
@@ -130,7 +133,7 @@ def _partition_units(
                     group_id=group.group_id,
                     protocol=group.protocol_name,
                     indices=tuple(group.spec_indices),
-                    layout=f"vector:{signature}",
+                    layout=f"vector-live:{signature}",
                     vectorized=True,
                 )
             )
@@ -348,8 +351,6 @@ def start_campaign(
     and the store fingerprint are unchanged by it, and a resume may choose
     a different window (only runs actually executed record trajectories).
     """
-    from repro.scenarios.runner import build_plan, scenario_seeds
-
     if backend_name not in CAMPAIGN_BACKENDS:
         raise CampaignError(
             f"unknown campaign backend {backend_name!r}; "
@@ -361,20 +362,24 @@ def start_campaign(
         # Checked here, before the campaign row is created: a backend
         # constructor raising later would strand a 'running' campaign.
         raise CampaignError("workers must be positive")
-    seed_list = scenario_seeds(scenario, scale, seeds)
-    scenario_hash = scenario.content_hash()
-    if campaign_id is None:
-        campaign_id = default_campaign_id(
-            scenario.scenario_id, scenario_hash, scale, seed_list, backend_name
-        )
-    existing = store.get_campaign(campaign_id)
-    if existing is not None:
-        raise CampaignError(
-            f"campaign {campaign_id!r} already exists "
-            f"(status {existing['status']}); use resume"
-        )
     tele = current_telemetry()
+    # The span covers the whole set-up (campaign identity included), so a
+    # short campaign's phases still explain its wall-clock.
     with tele.span("build", kind="phase", backend=backend_name, op="plan"):
+        from repro.scenarios.runner import build_plan, scenario_seeds
+
+        seed_list = scenario_seeds(scenario, scale, seeds)
+        scenario_hash = scenario.content_hash()
+        if campaign_id is None:
+            campaign_id = default_campaign_id(
+                scenario.scenario_id, scenario_hash, scale, seed_list, backend_name
+            )
+        existing = store.get_campaign(campaign_id)
+        if existing is not None:
+            raise CampaignError(
+                f"campaign {campaign_id!r} already exists "
+                f"(status {existing['status']}); use resume"
+            )
         plan = build_plan(scenario, scale, seed_list, dynamics_window=dynamics_window)
     with tele.span(
         "commit", kind="phase", backend=backend_name, op="create-campaign"

@@ -202,11 +202,10 @@ class ExecutionBackend(abc.ABC):
 
         ``"scalar"`` is the reference layout: serial and process-pool
         executions are bit-identical, so their results are interchangeable
-        under one cache key.  A backend whose result for a job is *not* a
-        deterministic function of the job alone (e.g. the vector backend,
-        whose coin layout depends on the batch it groups the job into)
-        returns ``None``, which tells the result cache the job has no
-        stable identity and must never be cached or served from cache.
+        under one cache key.  A backend that files no layout for a job
+        (e.g. the vector backend for the jobs it vectorizes) returns
+        ``None``, which tells the result cache the job must never be cached
+        or served from cache.
         """
         return "scalar"
 

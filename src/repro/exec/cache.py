@@ -20,8 +20,9 @@ whose key is ``None``, are always delegated to the inner backend and never
 stored, because there is no safe identity to file them under.  The same
 logic extends to the *result layout*: entries are filed per layout
 (``ExecutionBackend.result_layout``), so a vector-engine result is never
-served to a serial run or vice versa, and jobs whose result depends on
-batch composition (vectorized jobs) are not cached at all.
+served to a serial run or vice versa.  Vectorized jobs are not cached at
+all: their results depend on (spec, seed) alone, but no per-job vector
+layout is filed yet.
 """
 
 from __future__ import annotations
@@ -167,10 +168,9 @@ class ResultCacheBackend(ExecutionBackend):
         # The store row identifies (spec, seed, result layout): results from
         # the reference "scalar" layout are shared between serial and
         # process-pool runs (they are bit-identical), other layouts are
-        # namespaced by the layout string, and a job with no stable result
-        # identity under the inner backend (layout None — e.g. a vectorized
-        # job, whose coins depend on its batch) is never cached or served
-        # from cache.
+        # namespaced by the layout string, and a job with no layout under
+        # the inner backend (layout None — e.g. a vectorized job) is never
+        # cached or served from cache.
         layout = self.inner.result_layout(job)
         if layout is None:
             return None

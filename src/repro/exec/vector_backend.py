@@ -15,14 +15,12 @@ Contract differences from the other backends:
   its own (it is literally the same code path);
 * vectorized results are **statistically equivalent** to serial results,
   not bit-identical — the vector engine draws per-replication Philox
-  streams instead of per-packet ``random.Random`` streams.  Repeated
-  ``VectorBackend`` runs of the same batch are bit-identical, and
-  mega-batched execution is bit-identical to per-group vector execution
-  (each group keeps its own coin geometry inside the stacked batch), so
-  mega-batching changes wall-clock only — never results, and never the
-  ``batch_signature`` storage identities the campaign store files
-  vectorized results under.  See ``repro.analysis.equivalence`` for the
-  checking harness.
+  streams instead of per-packet ``random.Random`` streams.  Each slot a
+  replication draws one coin per live packet, in ascending packet-id
+  order, from its own stream, so a vectorized result is a function of
+  (spec, seed) alone: grouping, batch order and mega-batching change
+  wall-clock only, never results.  See ``repro.analysis.equivalence`` for
+  the checking harness.
 
 Only jobs that declare their vectorizability (``vector_support()``, i.e.
 :class:`~repro.experiments.plan.RunSpec`) are eligible; opaque jobs such as
@@ -249,13 +247,12 @@ class VectorBackend(ExecutionBackend):
         return results  # type: ignore[return-value]
 
     def result_layout(self, job: RunJob) -> str | None:
-        """Vectorized jobs have no stable per-job result identity.
+        """Vectorized jobs are not filed in the result cache (``None``).
 
-        A vectorized job's coins depend on the batch it is grouped into
-        (the coin-block geometry is a function of the replication count),
-        so the result cache must not file it under the job's own key —
-        and a scalar-layout cache entry must never be served to it.
-        Fallback jobs inherit the fallback backend's layout.
+        A vectorized result is a function of (spec, seed) alone, but the
+        cache has no per-job vector layout yet, and a scalar-layout cache
+        entry must never be served to a vectorized job.  Fallback jobs
+        inherit the fallback backend's layout.
         """
         if self._group_key(job) is not None:
             return None

@@ -206,14 +206,12 @@ class SweepGroup:
 def batch_signature(specs: Sequence["RunSpec"]) -> str | None:
     """Stable identity of one lockstep vector batch, or ``None``.
 
-    A vectorized result is a deterministic function of the *whole ordered
-    batch* it ran in (the coin-block geometry depends on the replication
-    count and order), not of its own spec alone.  Hashing the ordered spec
-    content hashes therefore gives vector results a stable storage
-    identity: the results store files them under layout
-    ``vector:<signature>``, so a batch re-run with the same composition is
-    served bit-identically while a differently composed batch never
-    collides.  ``None`` when any spec lacks a cache key.
+    A vectorized result is a function of its own (spec, seed) alone — each
+    replication draws one coin per live packet per slot, in ascending
+    packet-id order, from its own stream — so this batch-level identity is
+    stricter than results need.  Campaigns still file a vector unit's
+    results under layout ``vector-live:<signature>``, the hash of the
+    ordered spec content hashes.  ``None`` when any spec lacks a cache key.
     """
     keys = [spec.cache_key() for spec in specs]
     if not keys or any(key is None for key in keys):

@@ -11,9 +11,11 @@ transparently).
 
 Vector results agree with scalar results statistically, not bit-for-bit:
 the engines draw from differently shaped random streams (per-replication
-Philox here, per-packet ``random.Random`` there).  Repeated vector runs of
-the same batch are bit-identical.  ``repro.analysis.equivalence`` provides
-the statistical-agreement harness.
+Philox here, per-packet ``random.Random`` there).  Each slot a replication
+draws one coin per live packet, in ascending packet-id order, from its own
+stream, so its result is a function of (spec, seed) alone, whatever batch
+it runs in.  ``repro.analysis.equivalence`` provides the
+statistical-agreement harness.
 """
 
 from repro.sim.vector.engine import VectorSimulator

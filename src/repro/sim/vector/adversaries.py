@@ -102,10 +102,6 @@ class VectorArrivals(abc.ABC):
         """
         return None
 
-    def capacity_bound(self) -> int | None:
-        """Upper bound on total arrivals per replication, if known."""
-        return None
-
 
 class NoArrivalsVector(VectorArrivals):
     def __init__(self, process: NoArrivals, replications: int) -> None:
@@ -116,9 +112,6 @@ class NoArrivalsVector(VectorArrivals):
 
     def exhausted(self, slot: int) -> bool:
         return True
-
-    def capacity_bound(self) -> int:
-        return 0
 
 
 class BatchArrivalsVector(VectorArrivals):
@@ -135,9 +128,6 @@ class BatchArrivalsVector(VectorArrivals):
 
     def exhausted(self, slot: int) -> bool:
         return slot > self._slot
-
-    def capacity_bound(self) -> int:
-        return self._n
 
 
 class PeriodicBurstArrivalsVector(VectorArrivals):
@@ -157,9 +147,6 @@ class PeriodicBurstArrivalsVector(VectorArrivals):
 
     def exhausted(self, slot: int) -> bool:
         return self._process.exhausted(slot)
-
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
 
 
 class PoissonArrivalsVector(VectorArrivals):
@@ -213,9 +200,6 @@ class ScheduledArrivalsVector(VectorArrivals):
 
     def exhausted(self, slot: int) -> bool:
         return self._process.exhausted(slot)
-
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
 
 
 class AdversarialQueueingArrivalsVector(VectorArrivals):
@@ -296,9 +280,6 @@ class AdversarialQueueingArrivalsVector(VectorArrivals):
     def exhausted(self, slot: int) -> bool:
         return self._process.exhausted(slot)
 
-    def capacity_bound(self) -> int | None:
-        return self._process.total_planned()
-
 
 class BacklogCouplingArrivalsVector(VectorArrivals):
     """Injection half of :class:`BacklogCouplingAdversary`: top up the backlog.
@@ -338,9 +319,6 @@ class BacklogCouplingArrivalsVector(VectorArrivals):
 
     def exhausted_rows(self, slot: int) -> np.ndarray:
         return self._injected >= self._total
-
-    def capacity_bound(self) -> int:
-        return self._total
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +398,9 @@ class VectorJammer(abc.ABC):
         """Draw whatever randomness the next ``count`` slots need.
 
         ``running`` masks replications whose execution already ended;
-        their draws are skipped (nothing ever reads them — finish times
-        are a deterministic function of the seeds, so skipping keeps runs
-        bit-reproducible, exactly like the packet coin blocks).
+        their draws are skipped (nothing ever reads them — a row's finish
+        time is a deterministic function of its own seed, so skipping
+        keeps runs bit-reproducible).
         """
 
     @abc.abstractmethod
@@ -449,15 +427,18 @@ class VectorJammer(abc.ABC):
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,
-        arrival_slot: np.ndarray,
+        packet_ids: np.ndarray,
+        injected_pre: np.ndarray,
         jammed: np.ndarray,
     ) -> np.ndarray:
         """Reactive decisions after the slot's senders are known.
 
         ``send`` is the raw ``(R, P)`` sender matrix (winners not yet
-        removed), ``num_senders`` its per-row counts, and ``jammed`` the
-        adaptive decisions already made; the return value replaces
-        ``jammed``.  Only called when ``reactive``.
+        removed), ``num_senders`` its per-row counts, ``packet_ids`` the
+        packet id held in each column, ``injected_pre`` the per-row packet
+        count before this slot's arrivals, and ``jammed`` the adaptive
+        decisions already made; the return value replaces ``jammed``.
+        Only called when ``reactive``.
         """
         return jammed
 
@@ -671,20 +652,21 @@ class ReactiveTargetedJammerVector(VectorJammer):
     """Reactive strategy: jam whenever the targeted packet transmits.
 
     The scalar jammer identifies its target from the pre-injection active
-    set and then jams every slot the target sends; because packet ids are
-    arrival-ordered column indices here, that reduces to the target column
-    of the sender matrix, gated on ``arrival_slot < slot`` — a packet that
-    arrives and would win in the same slot is never identified (the scalar
-    jammer only sees it pre-injection), so its arrival-slot sends go
-    unjammed, exactly as in the scalar engine.
+    set and then jams every slot the target sends; here that is the column
+    whose packet id is the target, gated on the target having arrived
+    before this slot (ids are arrival-ordered, so ``target < injected_pre``)
+    — a packet that arrives and would win in the same slot is never
+    identified (the scalar jammer only sees it pre-injection), so its
+    arrival-slot sends go unjammed, exactly as in the scalar engine.
     """
 
     reactive = True
 
     def __init__(self, pairs: JammerRows) -> None:
         super().__init__(pairs)
-        self._target = _jam_param(pairs, lambda j: j.target_index)
-        self._rows = np.arange(self.replications)
+        target = _jam_param(pairs, lambda j: j.target_index)
+        self._target = target
+        self._target_column = target[:, None] if isinstance(target, np.ndarray) else target
 
     def jam(self, slot: int, backlog_pre: np.ndarray, running: np.ndarray) -> np.ndarray:
         return self._false
@@ -696,21 +678,12 @@ class ReactiveTargetedJammerVector(VectorJammer):
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,
-        arrival_slot: np.ndarray,
+        packet_ids: np.ndarray,
+        injected_pre: np.ndarray,
         jammed: np.ndarray,
     ) -> np.ndarray:
-        capacity = send.shape[1]
-        target = self._target
-        if not isinstance(target, np.ndarray):
-            if target >= capacity:
-                return jammed
-            target_sends = send[:, target]
-            target_known = arrival_slot[:, target] < slot
-        else:
-            in_range = target < capacity
-            safe = np.minimum(target, capacity - 1)
-            target_sends = send[self._rows, safe] & in_range
-            target_known = arrival_slot[self._rows, safe] < slot
+        target_sends = (send & (packet_ids == self._target_column)).any(axis=1)
+        target_known = self._target < injected_pre
         decisions = target_sends & target_known & running & ~jammed
         decisions = self._apply_budget(decisions)
         return jammed | decisions
@@ -731,7 +704,8 @@ class ReactiveSuccessJammerVector(VectorJammer):
         num_senders: np.ndarray,
         backlog_pre: np.ndarray,
         running: np.ndarray,
-        arrival_slot: np.ndarray,
+        packet_ids: np.ndarray,
+        injected_pre: np.ndarray,
         jammed: np.ndarray,
     ) -> np.ndarray:
         decisions = (num_senders == 1) & running & ~jammed

@@ -3,10 +3,12 @@
 :class:`VectorSimulator` runs *every replication of one configuration at
 once*: packet protocol state, send decisions, channel resolution, ternary
 feedback, and metric accumulation are all held as ``(replications ×
-packets)`` numpy arrays, and one pass over the slot loop advances the whole
+columns)`` numpy arrays, and one pass over the slot loop advances the whole
 batch.  The per-slot cost is a fixed number of array operations, so the
 interpreter overhead that dominates the scalar engine is paid once per slot
-instead of once per packet per replication.
+instead of once per packet per replication.  Columns hold only *live*
+packets (see :class:`_LiveCells`), so that cost follows the backlog rather
+than the total number of arrivals.
 
 Two slot paths share the loop:
 
@@ -25,20 +27,20 @@ The engine also supports **mega-batches**: several configurations that
 share one protocol/arrival/jammer kernel family (parameters promoted to
 per-row arrays) stacked into a single ragged lockstep batch via
 :meth:`VectorSimulator.from_spec_groups`.  Each configuration keeps its own
-*segment* — its own coin-block geometry, capacity trajectory, and arrival
-schedule — so every replication consumes exactly the random stream it would
-consume in a standalone per-group batch, making mega-batched results
-**bit-identical** to per-group vector execution (enforced by tests).  Only
-the per-slot Python dispatch is shared, which is where the speedup lives.
+*segment* (its arrival schedule), and every replication draws one coin per
+live packet per slot, in ascending packet-id order, from its own stream
+(:mod:`repro.sim.vector.rng`) — so a replication's result is a function of
+(spec, seed) alone, bit-identical alone, in any batch, and in any
+mega-batch (enforced by tests).  Only the per-slot Python dispatch is
+shared, which is where the speedup lives.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
 decision order, same channel rules, same metric definitions, same
 stop-when-drained condition) but draws its randomness from per-replication
 Philox streams instead of per-packet ``random.Random`` streams.  Vector
 results therefore agree with scalar results *statistically* — same Markov
-chain, different coins — while repeated vector runs of the same batch are
-bit-identical (see ``repro.analysis.equivalence`` for the checking
-harness).
+chain, different coins (see ``repro.analysis.equivalence`` for the
+checking harness).
 
 Outcome codes used internally: 0 empty, 1 success, 2 collision, 3 jammed.
 """
@@ -91,8 +93,7 @@ _OUTCOMES = (
 def _sample_dynamics_gauges(
     j: int,
     kernel: Any,
-    active: np.ndarray,
-    listens: np.ndarray | None,
+    cells: "_LiveCells",
     dyn_prob_sum: np.ndarray,
     dyn_window_sum: np.ndarray,
     dyn_listens: np.ndarray,
@@ -107,6 +108,7 @@ def _sample_dynamics_gauges(
     growing — which is exactly what the scalar accumulator recorded for
     them.
     """
+    active = cells.active
     probabilities = kernel.sending_probabilities()
     dyn_prob_sum[j] = np.where(active, probabilities, 0.0).cumsum(axis=1)[:, -1]
     if dyn_has_windows:
@@ -114,8 +116,8 @@ def _sample_dynamics_gauges(
         dyn_window_sum[j] = (
             np.where(active, windows, 0.0).cumsum(axis=1)[:, -1]
         )
-    if listens is not None:
-        dyn_listens[j] = listens.sum(axis=1)
+    if cells.listens is not None:
+        dyn_listens[j] = cells.listens_per_row()
 
 
 class _WindowTermCache:
@@ -125,44 +127,34 @@ class _WindowTermCache:
     ``w / math.log(w) ** 2`` per window; ``np.log`` can differ from
     ``math.log`` by an ulp on rare inputs, so bit-for-bit parity requires
     routing every distinct window value through the exact same Python
-    float operations.  Window values repeat massively across cells and
-    slots (every cell walks the same discrete update lattice), so a sorted
-    key array plus ``searchsorted`` amortises the Python-level ``math.log``
-    calls to one per distinct value per run.
+    float operations.  Each call looks up only its own values: dict hits,
+    plus ``math.log`` for the misses.
     """
 
     def __init__(self) -> None:
         self._terms: dict[float, tuple[float, float]] = {}
-        self._keys = np.empty(0)
-        self._inverse_log = np.empty(0)
-        self._l = np.empty(0)
 
-    def _ensure(self, values: np.ndarray) -> None:
-        fresh = [
-            value for value in np.unique(values).tolist() if value not in self._terms
-        ]
-        if not fresh:
-            return
-        for value in fresh:
-            if value <= 1.0:
-                # Same contract as the scalar PotentialSample.h_term.
-                raise ValueError("potential tracking requires windows > 1")
-            log = math.log(value)
-            self._terms[value] = (1.0 / log, value / log**2)
-        keys = sorted(self._terms)
-        self._keys = np.array(keys)
-        self._inverse_log = np.array([self._terms[key][0] for key in keys])
-        self._l = np.array([self._terms[key][1] for key in keys])
+    def _lookup(self, values: np.ndarray, which: int) -> np.ndarray:
+        terms = self._terms
+        found = []
+        for value in values.tolist():
+            term = terms.get(value)
+            if term is None:
+                if value <= 1.0:
+                    # Same contract as the scalar PotentialSample.h_term.
+                    raise ValueError("potential tracking requires windows > 1")
+                log = math.log(value)
+                term = terms[value] = (1.0 / log, value / log**2)
+            found.append(term[which])
+        return np.array(found)
 
     def inverse_log(self, values: np.ndarray) -> np.ndarray:
         """``1 / math.log(v)`` for each value (the H(t) contribution)."""
-        self._ensure(values)
-        return self._inverse_log[np.searchsorted(self._keys, values)]
+        return self._lookup(values, 0)
 
     def l_term(self, values: np.ndarray) -> np.ndarray:
         """``v / math.log(v) ** 2`` for each value (the L(t) term)."""
-        self._ensure(values)
-        return self._l[np.searchsorted(self._keys, values)]
+        return self._lookup(values, 1)
 
 
 class _SlotRecorder:
@@ -176,9 +168,7 @@ class _SlotRecorder:
 
     _BASE_FIELDS = (
         ("outcome", np.int8, 0),
-        ("jammed", bool, False),
         ("arrivals", np.int32, 0),
-        ("active_before", np.int32, 0),
         ("active_after", np.int32, 0),
         ("num_senders", np.int32, 0),
     )
@@ -228,20 +218,31 @@ class _SlotRecorder:
         self,
         slot: int,
         outcome: np.ndarray,
-        jammed: np.ndarray,
         arrivals: np.ndarray,
-        active_before: np.ndarray,
         active_after: np.ndarray,
         num_senders: np.ndarray,
     ) -> None:
         if slot >= self._capacity:
             self._grow(slot + 1)
         self.outcome[slot] = outcome
-        self.jammed[slot] = jammed
         self.arrivals[slot] = arrivals
-        self.active_before[slot] = active_before
         self.active_after[slot] = active_after
         self.num_senders[slot] = num_senders
+
+    def columns(self, index: int, slots: int) -> tuple[np.ndarray, ...]:
+        """Row ``index``'s ``(outcome, jammed, arrivals, active_before,
+        active_after, num_senders)`` series over its first ``slots`` slots."""
+        outcome = self.outcome[:slots, index]
+        active_after = self.active_after[:slots, index]
+        return (
+            outcome,
+            outcome == 3,
+            self.arrivals[:slots, index],
+            # Only a success (code 1) removes a packet within a slot.
+            active_after + (outcome == 1),
+            active_after,
+            self.num_senders[:slots, index],
+        )
 
     def record_trace(self, slot: int, winner: np.ndarray, contention: np.ndarray) -> None:
         self.winner[slot] = winner
@@ -282,26 +283,156 @@ class _GroupConfig:
 
 
 class _Segment:
-    """One group's private execution geometry inside a (mega-)batch.
+    """One group's rows inside a (mega-)batch and its arrival schedule."""
 
-    The segment owns everything whose *randomness consumption* depends on
-    the group rather than the whole batch: the arrival schedule kernel and
-    the packet coin blocks, whose block geometry is a function of the
-    group's replication count and capacity trajectory.  Keeping these per
-    segment is what makes a mega-batch bit-identical to running each group
-    in its own batch.
-    """
+    __slots__ = ("rows", "streams", "arrivals", "exhausted", "live")
 
-    __slots__ = ("rows", "streams", "arrivals", "coins", "capacity", "exhausted", "live")
-
-    def __init__(self, rows: slice, streams: Any, arrivals: Any, capacity: int) -> None:
+    def __init__(self, rows: slice, streams: Any, arrivals: Any) -> None:
         self.rows = rows
         self.streams = streams
         self.arrivals = arrivals
-        self.coins = CoinBlocks(streams, capacity)
-        self.capacity = capacity
         self.exhausted = False
         self.live = True
+
+
+#: Live-set compaction policy.  Results never depend on it (coins follow
+#: packet ids, not columns); it only trades gather work against width.
+#: Every ``_COMPACT_CHECK_SLOTS`` slots, and whenever arrivals overflow the
+#: width, the batch is squeezed if holes exceed this share of the width.
+_COMPACT_CHECK_SLOTS = 64
+_COMPACT_HOLE_SHARE = 0.5
+
+
+class _LiveCells:
+    """The engine's per-cell arrays: one row per replication, live packets only.
+
+    Row ``r`` holds its packets in ascending id order in columns
+    ``[0, used[r])``: arrivals append on the right, departures leave holes
+    (``active`` False), and a stable compaction squeezes the holes out.  A
+    row's live cells therefore always read in ascending packet-id order,
+    which keeps the engine's cumulative sums bitwise equal to the scalar
+    ascending-id additions.  A packet's by-id record (departure slot,
+    sends, listens) is retired when compaction drops its hole or the run
+    ends.  The set starts one column wide, like ``kernel``.
+    """
+
+    def __init__(self, replications: int, kernel: Any) -> None:
+        shape = (replications, 1)
+        self.kernel = kernel
+        self.active = np.zeros(shape, dtype=bool)
+        self.packet_id = np.full(shape, -1, dtype=np.int64)
+        self.departure = np.full(shape, -1, dtype=np.int64)
+        self.sends = np.zeros(shape, dtype=np.int64)
+        self.listens = np.zeros(shape, dtype=np.int64) if kernel.listens else None
+        self.used = np.zeros(replications, dtype=np.int64)
+        self.retired: list[tuple[Any, ...]] = []
+        self.retired_listens = np.zeros(replications, dtype=np.int64)
+        self.compactions = 0
+        self.peak_width = 0
+        self._buffers(1)
+
+    @property
+    def width(self) -> int:
+        return self.active.shape[1]
+
+    def _fields(self) -> tuple[str, ...]:
+        names = ("active", "packet_id", "departure", "sends")
+        return names + ("listens",) if self.listens is not None else names
+
+    def relayout(self, width: int, *, compact: bool) -> None:
+        """Resize to ``width`` columns, squeezing out holes when ``compact``."""
+        replications, old = self.active.shape
+        if compact:
+            self._retire(~self.active & (self.packet_id >= 0))
+            order = np.argsort(~self.active, axis=1, kind="stable")
+            self.used = np.count_nonzero(self.active, axis=1)
+            self.compactions += 1
+        else:
+            order = np.broadcast_to(np.arange(old), (replications, old))
+        if width > old:
+            # Fresh columns gather column 0; they are reset below.
+            order = np.pad(order, ((0, 0), (0, width - old)))
+        order = np.ascontiguousarray(order[:, :width])
+        for name in self._fields():
+            setattr(self, name, np.take_along_axis(getattr(self, name), order, axis=1))
+        self.kernel.take_columns(order)
+        self._buffers(width)
+        fresh = self.columns >= self.used[:, None]
+        self.active[fresh] = False
+        self.packet_id[fresh] = -1
+        self.departure[fresh] = -1
+        self.sends[fresh] = 0
+        if self.listens is not None:
+            self.listens[fresh] = 0
+
+    def _buffers(self, width: int) -> None:
+        shape = (len(self.used), width)
+        self.columns = np.arange(width)
+        self.send_buffer = np.empty(shape, dtype=bool)
+        self.listen_buffer = np.empty(shape, dtype=bool)
+        self.coin_buffer = np.zeros(shape)
+        self.peak_width = max(self.peak_width, width)
+
+    def squeeze(self, peak: int, needed: int = 0) -> None:
+        """Make room for ``needed`` columns given ``peak`` live cells per row.
+
+        Compacts to twice the peak when holes dominate the width, and
+        otherwise doubles the width (only when ``needed`` exceeds it).
+        """
+        width = self.width
+        if width - peak > _COMPACT_HOLE_SHARE * width:
+            self.relayout(max(1, 2 * peak), compact=True)
+        elif needed > width:
+            self.relayout(max(needed, 2 * width), compact=False)
+
+    def inject(self, arriving: np.ndarray, injected: np.ndarray) -> None:
+        """Append ``arriving[r]`` packets with ids from ``injected[r]`` on."""
+        end = self.used + arriving
+        if int(end.max()) > self.width:
+            live = np.count_nonzero(self.active, axis=1)
+            self.squeeze(int((live + arriving).max()), int(end.max()))
+            end = self.used + arriving
+        columns = self.columns
+        newly = (columns >= self.used[:, None]) & (columns < end[:, None])
+        self.active |= newly
+        np.copyto(
+            self.packet_id, columns + (injected - self.used)[:, None], where=newly
+        )
+        self.used = end
+        self.kernel.init_packets(newly)
+
+    def _retire(self, mask: np.ndarray) -> None:
+        rows, cols = np.nonzero(mask)
+        if not rows.size:
+            return
+        listens = self.listens[rows, cols] if self.listens is not None else None
+        self.retired.append(
+            (rows, self.packet_id[rows, cols], self.departure[rows, cols],
+             self.sends[rows, cols], listens)
+        )
+        if listens is not None:
+            np.add.at(self.retired_listens, rows, listens)
+
+    def listens_per_row(self) -> np.ndarray:
+        """Cumulative listens of every packet of each row so far."""
+        assert self.listens is not None
+        return self.retired_listens + self.listens.sum(axis=1)
+
+    def records(
+        self, injected: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """By-id ``(departure, sends, listens)`` arrays; ends the run's layout."""
+        self._retire(self.packet_id >= 0)
+        shape = (len(injected), max(1, int(injected.max())))
+        departure = np.full(shape, -1, dtype=np.int64)
+        sends = np.zeros(shape, dtype=np.int64)
+        listens = np.zeros(shape, dtype=np.int64) if self.listens is not None else None
+        for rows, ids, departed, sent, listened in self.retired:
+            departure[rows, ids] = departed
+            sends[rows, ids] = sent
+            if listens is not None:
+                listens[rows, ids] = listened
+        return departure, sends, listens
 
 
 class VectorSimulator:
@@ -580,8 +711,9 @@ class VectorSimulator:
         (:meth:`_finalize`) are timed as separate telemetry phases when a
         session is active, and the hot-loop counters (kernel invocations,
         slots simulated, feedback iterations, trace/potential
-        materialisations) are all derived from post-loop state — nothing
-        is sampled inside the per-slot path.
+        materialisations, coin draws, compactions, peak live width) are
+        all derived from post-loop state and emitted inside the finalize
+        phase — nothing is sampled inside the per-slot path.
         """
         tele = current_telemetry()
         if not tele.enabled:
@@ -600,10 +732,10 @@ class VectorSimulator:
             "finalize", kind="phase", backend="vector", replications=replications
         ):
             results = self._finalize(*finalize_args)
-        tele.counter("replications", replications, backend="vector")
-        for name, value in stats.items():
-            if value:
-                tele.counter(name, value, backend="vector")
+            tele.counter("replications", replications, backend="vector")
+            for name, value in stats.items():
+                if value:
+                    tele.counter(name, value, backend="vector")
         return results
 
     def _simulate(self):
@@ -619,24 +751,23 @@ class VectorSimulator:
         start = 0
         for group in groups:
             stop = start + len(group.seeds)
-            view = streams.slice(start, stop)
             arrivals = make_arrivals_kernel(group.arrival_process, len(group.seeds))
-            bound = arrivals.capacity_bound()
-            seg_capacity = max(1, bound if bound is not None else 64)
-            segments.append(_Segment(slice(start, stop), view, arrivals, seg_capacity))
+            segments.append(
+                _Segment(slice(start, stop), streams.slice(start, stop), arrivals)
+            )
             start = stop
         multi = len(segments) > 1
-        seg_starts = np.array([seg.rows.start for seg in segments], dtype=np.intp)
 
-        capacity = max(seg.capacity for seg in segments)
+        # The live set starts one column wide and grows on demand.
         kernel = make_protocol_row_kernel(
-            [(group.protocol, len(group.seeds)) for group in groups], capacity
+            [(group.protocol, len(group.seeds)) for group in groups], 1
         )
         jammer = make_row_jammer_kernel(
             [(group.jammer, len(group.seeds)) for group in groups]
         )
+        cells = _LiveCells(replications, kernel)
+        coin_blocks = CoinBlocks(streams)
         sensing = kernel.sensing
-        track_listens = kernel.listens
         reactive = jammer.reactive
         needs_contention = jammer.needs_contention
         collect_trace = self._collect_trace
@@ -654,13 +785,6 @@ class VectorSimulator:
         else:
             coupled_arrivals = None
 
-        active = np.zeros((replications, capacity), dtype=bool)
-        arrival_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        departure_slot = np.full((replications, capacity), -1, dtype=np.int64)
-        sends = np.zeros((replications, capacity), dtype=np.int64)
-        listens = np.zeros((replications, capacity), dtype=np.int64) if track_listens else None
-        cols = np.arange(capacity)
-
         injected = np.zeros(replications, dtype=np.int64)
         backlog = np.zeros(replications, dtype=np.int64)
         running = np.ones(replications, dtype=bool)
@@ -669,8 +793,8 @@ class VectorSimulator:
             replications, trace=collect_trace, potential=collect_potential
         )
 
-        # Vectorized trace output: per-slot sender/listener index pairs
-        # (materialised into SlotRecords at finalisation).
+        # Vectorized trace output: per-slot sender/listener (row, packet id)
+        # pairs (materialised into SlotRecords at finalisation).
         trace_senders: list[tuple[np.ndarray, np.ndarray]] = []
         trace_listeners: list[tuple[np.ndarray, np.ndarray]] = []
         # Vectorized potential accumulator state.
@@ -685,10 +809,10 @@ class VectorSimulator:
         # boundary, sampled post-step at boundary slots only — the per-slot
         # kernel path is untouched.  Counts are recovered from the recorder
         # at finalisation; only live gauges (probability sum, window sum,
-        # cumulative listens) need boundary snapshots.  A drained row's
-        # kernel state is frozen (empty active mask, no injections), so a
-        # later global boundary reads exactly the values the row had when
-        # it finished — no per-row boundary bookkeeping is needed.
+        # cumulative listens) need boundary snapshots.  A drained row has
+        # no live cells and no injections, so a later global boundary reads
+        # exactly the values the row had when it finished — no per-row
+        # boundary bookkeeping is needed.
         dynamics_window = self._dynamics_window
         dyn_prob_sum = dyn_window_sum = dyn_listens = None
         dyn_has_windows = False
@@ -723,10 +847,9 @@ class VectorSimulator:
         arrivals_chunk: np.ndarray | None = None
         slot_has_arrivals: list[bool] = []
         no_arrivals = np.zeros(replications, dtype=np.int64)
-        send_buffer = np.empty((replications, capacity), dtype=bool)
-        listen_buffer = np.empty((replications, capacity), dtype=bool) if sensing else None
-        coin_buffer = np.empty((replications, capacity), dtype=np.float64) if multi else None
         never_jams = jammer.never_jams
+        check_every = _COMPACT_CHECK_SLOTS
+        next_check = check_every
 
         slot = 0
         while slot < max_slots and live:
@@ -750,6 +873,7 @@ class VectorSimulator:
                 jammer.begin_chunk(chunk_start, count, streams, running)
 
             backlog_pre = backlog
+            injected_pre = injected
             if want_contention:
                 # Pre-injection contention with the *current* protocol state
                 # — exactly the scalar SystemView's C(t).  The cumulative sum
@@ -757,7 +881,7 @@ class VectorSimulator:
                 # bitwise (inactive cells add +0.0, a float no-op).
                 probabilities = kernel.sending_probabilities()
                 contention_pre = (
-                    np.where(active, probabilities, 0.0).cumsum(axis=1)[:, -1]
+                    np.where(cells.active, probabilities, 0.0).cumsum(axis=1)[:, -1]
                 )
                 if needs_contention:
                     jammer.set_contention(contention_pre)
@@ -772,147 +896,73 @@ class VectorSimulator:
                 arriving = no_arrivals
                 inject = False
             if inject:
-                total_after = injected + arriving
-                grew = False
-                if multi:
-                    needed_per_seg = np.maximum.reduceat(total_after, seg_starts)
-                    for index, seg in enumerate(segments):
-                        needed = int(needed_per_seg[index])
-                        if needed > seg.capacity:
-                            # Each segment grows on its own trajectory — the
-                            # same doubling a standalone batch of this group
-                            # would apply — keeping its coin geometry intact.
-                            seg.capacity = max(needed, seg.capacity * 2)
-                            seg.coins.resize(seg.capacity)
-                            grew = True
-                else:
-                    seg = segments[0]
-                    needed = int(total_after.max())
-                    if needed > seg.capacity:
-                        seg.capacity = max(needed, seg.capacity * 2)
-                        seg.coins.resize(seg.capacity)
-                        grew = True
-                if grew:
-                    new_capacity = max(seg.capacity for seg in segments)
-                    if new_capacity > capacity:
-                        capacity = new_capacity
-                        grown = (
-                            np.zeros((replications, capacity), dtype=bool),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.full((replications, capacity), -1, dtype=np.int64),
-                            np.zeros((replications, capacity), dtype=np.int64),
-                        )
-                        for old, new in zip(
-                            (active, arrival_slot, departure_slot, sends), grown
-                        ):
-                            new[:, : old.shape[1]] = old
-                        active, arrival_slot, departure_slot, sends = grown
-                        if listens is not None:
-                            grown_listens = np.zeros(
-                                (replications, capacity), dtype=np.int64
-                            )
-                            grown_listens[:, : listens.shape[1]] = listens
-                            listens = grown_listens
-                        cols = np.arange(capacity)
-                        kernel.grow(capacity)
-                        send_buffer = np.empty((replications, capacity), dtype=bool)
-                        if sensing:
-                            listen_buffer = np.empty(
-                                (replications, capacity), dtype=bool
-                            )
-                        if multi:
-                            coin_buffer = np.empty(
-                                (replications, capacity), dtype=np.float64
-                            )
-                newly = (cols >= injected[:, None]) & (cols < total_after[:, None])
-                active |= newly
-                arrival_slot[newly] = slot
-                kernel.init_packets(newly)
-                injected = total_after
+                cells.inject(arriving, injected)
+                injected = injected + arriving
                 backlog = backlog + arriving
 
-            active_before = backlog
             jammed = jammer.jam(slot, backlog_pre, running)
 
-            if multi:
-                coins = coin_buffer
-                assert coins is not None
-                for seg in segments:
-                    if seg.live:
-                        coins[seg.rows, : seg.capacity] = seg.coins.coins(
-                            slot, running[seg.rows]
-                        )
-            else:
-                coins = segments[0].coins.coins(slot, running)
-
+            # One coin per live packet, in ascending packet-id order.
+            active = cells.active
+            coins = cells.coin_buffer
+            np.place(coins, active, coin_blocks.coins(backlog, cells.width))
+            send = cells.send_buffer
             if sensing:
-                assert listen_buffer is not None
-                kernel.decide(coins, send_buffer, listen_buffer)
-                send = send_buffer
+                listen = cells.listen_buffer
+                kernel.decide(coins, send, listen)
                 send &= active
-                listen = listen_buffer
                 listen &= active
             else:
-                send = np.less(coins, kernel.probabilities, out=send_buffer)
+                np.less(coins, kernel.probabilities, out=send)
                 send &= active
-            num_senders = np.count_nonzero(send, axis=1)
-            total_senders = int(num_senders.sum())
+            num_senders = np.add.reduce(send, axis=1)
             if reactive:
                 # Step 3 of the scalar slot order: the reactive jammer sees
                 # this slot's senders before the channel resolves.
                 jammed = jammer.reactive_jam(
-                    slot, send, num_senders, backlog_pre, running, arrival_slot, jammed
+                    slot, send, num_senders, backlog_pre, running,
+                    cells.packet_id, injected_pre, jammed,
                 )
             if collect_trace:
                 # Captured before winner removal, so the winner is included
                 # among the senders — as in the scalar SlotRecord.
-                trace_senders.append(np.nonzero(send))
+                trace_senders.append((np.nonzero(send)[0], cells.packet_id[send]))
                 if sensing:
-                    trace_listeners.append(np.nonzero(listen))
-            if never_jams:
-                winners = running & (num_senders == 1)
-            else:
-                winners = running & ~jammed & (num_senders == 1)
-            sends += send
-            if listens is not None:
-                listens += listen
+                    trace_listeners.append(
+                        (np.nonzero(listen)[0], cells.packet_id[listen])
+                    )
+            # Outcome codes: stopped rows hold no packets, so a lone sender
+            # wins unless its slot is jammed.
+            outcome = np.minimum(num_senders, 2)
+            if not never_jams:
+                outcome[jammed] = 3
+            winners = outcome == 1
+            cells.sends += send
+            if cells.listens is not None:
+                cells.listens += listen
 
             winner_rows = np.nonzero(winners)[0]
             if winner_rows.size:
                 winner_cols = np.argmax(send[winner_rows], axis=1)
                 active[winner_rows, winner_cols] = False
-                departure_slot[winner_rows, winner_cols] = slot
+                cells.departure[winner_rows, winner_cols] = slot
                 # The remaining senders are the losers of the slot.
                 send[winner_rows, winner_cols] = False
             if collect_trace:
-                winner_column = np.full(replications, -1, dtype=np.int64)
+                winner_id = np.full(replications, -1, dtype=np.int64)
                 if winner_rows.size:
-                    winner_column[winner_rows] = winner_cols
+                    winner_id[winner_rows] = cells.packet_id[winner_rows, winner_cols]
             if sensing:
                 # Per-replication ternary feedback: what every accessor of
                 # that replication's channel heard this slot.  Winners are
                 # already removed (they depart without a state update).
-                if never_jams:
-                    empty_rows = num_senders == 0
-                    noise_rows = num_senders > 1
-                else:
-                    empty_rows = ~jammed & (num_senders == 0)
-                    noise_rows = jammed | (num_senders > 1)
-                kernel.on_feedback(empty_rows, noise_rows, send, listen, active)
-            elif total_senders > winner_rows.size:
+                kernel.on_feedback(outcome == 0, outcome >= 2, send, listen, active)
+            elif int(num_senders.sum()) > winner_rows.size:
                 kernel.on_unsuccessful_send(send)
             backlog = backlog - winners
-
-            outcome = (num_senders > 0).astype(np.int8)
-            outcome += outcome
-            outcome -= winners
-            if not never_jams:
-                outcome[jammed] = 3
-            recorder.record(
-                slot, outcome, jammed, arriving, active_before, backlog, num_senders
-            )
+            recorder.record(slot, outcome, arriving, backlog, num_senders)
             if collect_trace:
-                recorder.record_trace(slot, winner_column, contention_pre)
+                recorder.record_trace(slot, winner_id, contention_pre)
             if collect_potential:
                 # Scalar step 5: Φ is sampled after feedback updates and the
                 # winner's departure, from post-slot windows and backlog.
@@ -947,12 +997,18 @@ class VectorSimulator:
                 # winners departed.  The cumulative sums reproduce the scalar
                 # engine's sequential ascending-id float additions bitwise.
                 _sample_dynamics_gauges(
-                    slot // dynamics_window, kernel, active, listens,
+                    slot // dynamics_window, kernel, cells,
                     dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
                 )
 
             slot += 1
+            if slot >= next_check:
+                next_check = slot + check_every
+                cells.squeeze(int(backlog.max()))
             if stop_when_drained:
+                # A row finishes once exhausted with an empty backlog: only
+                # an exhaustion change or a departure can newly finish one.
+                changed = bool(winner_rows.size)
                 for seg in segments:
                     if seg.live and not seg.exhausted:
                         per_row = seg.arrivals.exhausted_rows(slot)
@@ -960,13 +1016,13 @@ class VectorSimulator:
                             if seg.arrivals.exhausted(slot):
                                 seg.exhausted = True
                                 exhausted_rows[seg.rows] = True
-                                any_exhausted = True
+                                any_exhausted = changed = True
                         elif per_row.any():
                             exhausted_rows[seg.rows] = per_row
-                            any_exhausted = True
+                            any_exhausted = changed = True
                             if per_row.all():
                                 seg.exhausted = True
-                if any_exhausted:
+                if any_exhausted and changed:
                     finished = running & exhausted_rows & (backlog == 0)
                     if finished.any():
                         num_slots[finished] = slot
@@ -981,7 +1037,7 @@ class VectorSimulator:
             # The loop ended mid-window (max_slots not a multiple of the
             # window, or every row drained): one final partial-window sample.
             _sample_dynamics_gauges(
-                slot // dynamics_window, kernel, active, listens,
+                slot // dynamics_window, kernel, cells,
                 dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows,
             )
 
@@ -997,6 +1053,9 @@ class VectorSimulator:
             "trace_materialisations": replications if collect_trace else 0,
             "potential_materialisations": replications if collect_potential else 0,
             "dynamics_materialisations": replications if dynamics_window else 0,
+            "coin_draws": coin_blocks.draws,
+            "compactions": cells.compactions,
+            "peak_live_width": cells.peak_width,
         }
         dynamics_buffers = (
             (dyn_prob_sum, dyn_window_sum, dyn_listens, dyn_has_windows)
@@ -1004,8 +1063,7 @@ class VectorSimulator:
             else None
         )
         finalize_args = (
-            recorder, num_slots, backlog, segments, injected,
-            arrival_slot, departure_slot, sends, listens,
+            recorder, num_slots, backlog, segments, injected, cells.records(injected),
             trace_senders, trace_listeners, has_windows, dynamics_buffers,
         )
         return finalize_args, stats
@@ -1019,10 +1077,7 @@ class VectorSimulator:
         backlog: np.ndarray,
         segments: list[_Segment],
         injected: np.ndarray,
-        arrival_slot: np.ndarray,
-        departure_slot: np.ndarray,
-        sends: np.ndarray,
-        listens: np.ndarray | None,
+        records: tuple[np.ndarray, np.ndarray, np.ndarray | None],
         trace_senders: list[tuple[np.ndarray, np.ndarray]],
         trace_listeners: list[tuple[np.ndarray, np.ndarray]],
         has_windows: bool,
@@ -1037,6 +1092,7 @@ class VectorSimulator:
         seeds = self._seeds
         if dynamics_buffers is not None:
             from repro.dynamics.trajectory import jammer_budget
+        departure_slot, sends, listens = records
         results = []
         for group, seg in zip(self._groups, segments):
             group_budget = (
@@ -1046,12 +1102,9 @@ class VectorSimulator:
             )
             for index in range(seg.rows.start, seg.rows.stop):
                 slots = int(num_slots[index])
-                outcome = recorder.outcome[:slots, index]
-                jammed = recorder.jammed[:slots, index]
-                arriving = recorder.arrivals[:slots, index]
-                active_before = recorder.active_before[:slots, index]
-                active_after = recorder.active_after[:slots, index]
-                num_senders = recorder.num_senders[:slots, index]
+                (
+                    outcome, jammed, arriving, active_before, active_after, num_senders,
+                ) = recorder.columns(index, slots)
                 was_active = active_before > 0
 
                 collector = MetricsCollector(collect_series=True)
@@ -1075,13 +1128,15 @@ class VectorSimulator:
                 ).tolist()
                 collector.cumulative_active_slots = np.cumsum(was_active).tolist()
 
+                # Ids are assigned in arrival order.
+                arrival_slot = np.repeat(np.arange(slots), arriving).tolist()
                 packets = []
                 for packet_id in range(int(injected[index])):
                     departed_at = int(departure_slot[index, packet_id])
                     packets.append(
                         PacketRecord(
                             packet_id=packet_id,
-                            arrival_slot=int(arrival_slot[index, packet_id]),
+                            arrival_slot=arrival_slot[packet_id],
                             departure_slot=None if departed_at < 0 else departed_at,
                             sends=int(sends[index, packet_id]),
                             listens=(
@@ -1165,7 +1220,7 @@ class VectorSimulator:
             cumulative_arrivals = np.cumsum(recorder.arrivals[:slots, index])
             cumulative_successes = np.cumsum(outcome == 1)
             cumulative_collisions = np.cumsum(outcome == 2)
-            cumulative_jammed = np.cumsum(recorder.jammed[:slots, index])
+            cumulative_jammed = np.cumsum(outcome == 3)
             cumulative_sends = np.cumsum(recorder.num_senders[:slots, index])
             active_after = recorder.active_after[:slots, index]
             for j in range(-(-slots // window)):
@@ -1207,11 +1262,9 @@ class VectorSimulator:
         order, which matches the scalar engine's iteration over its active
         dict.
         """
-        arrivals = recorder.arrivals[:slots, index]
-        outcome = recorder.outcome[:slots, index]
-        jammed = recorder.jammed[:slots, index]
-        active_before = recorder.active_before[:slots, index]
-        active_after = recorder.active_after[:slots, index]
+        outcome, jammed, arrivals, active_before, active_after, _ = recorder.columns(
+            index, slots
+        )
         winner = recorder.winner[:slots, index]
         contention = recorder.contention[:slots, index]
         potential = (

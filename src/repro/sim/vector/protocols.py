@@ -24,9 +24,10 @@ contract.
 Every kernel is built from a list of ``(protocol, replications)`` pairs so
 that a mega-batch can stack configurations that share a kernel family but
 differ in parameters: parameters are promoted to per-row columns.  All
-per-cell state updates are elementwise, so the values a row's cells take
-are bit-identical whether the row runs in its own batch or inside a larger
-stacked batch — the property mega-batching relies on.
+per-cell state updates are elementwise, so a packet's state is bit-identical
+whatever row, batch or column it occupies.  Kernels declare their per-cell
+arrays in ``cell_state``; the engine moves packets between columns (growth,
+compaction) with one generic gather over them.
 """
 
 from __future__ import annotations
@@ -95,13 +96,23 @@ class VectorProtocolKernel(abc.ABC):
     #: maintains per-packet listen counters; send-only kernels skip them).
     listens = False
 
+    #: Names of the ``(replications × capacity)`` per-cell state arrays.
+    cell_state: tuple[str, ...] = ()
+
     def __init__(self, replications: int, capacity: int) -> None:
         self.replications = replications
         self.capacity = capacity
 
-    @abc.abstractmethod
-    def grow(self, capacity: int) -> None:
-        """Extend the packet dimension to ``capacity`` columns."""
+    def take_columns(self, order: np.ndarray) -> None:
+        """Rebuild every per-cell array as ``state[r, order[r, j]]``.
+
+        ``order`` is ``(replications × new capacity)``; columns gathered
+        for cells that hold no packet carry stale state until
+        :meth:`init_packets` initialises them.
+        """
+        for name in self.cell_state:
+            setattr(self, name, np.take_along_axis(getattr(self, name), order, axis=1))
+        self.capacity = order.shape[1]
 
     @abc.abstractmethod
     def init_packets(self, newly: np.ndarray) -> None:
@@ -183,9 +194,6 @@ class FixedProbabilityKernel(VectorProtocolKernel):
         super().__init__(_rows(pairs), capacity)
         self._probability = _param_column(pairs, lambda p: p.probability)
 
-    def grow(self, capacity: int) -> None:
-        self.capacity = capacity
-
     def init_packets(self, newly: np.ndarray) -> None:
         return None
 
@@ -196,6 +204,8 @@ class FixedProbabilityKernel(VectorProtocolKernel):
 
 class BinaryExponentialKernel(VectorProtocolKernel):
     """Window per packet; doubles (up to a cap) on every unsuccessful send."""
+
+    cell_state = ("_window", "_inverse")
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -209,18 +219,6 @@ class BinaryExponentialKernel(VectorProtocolKernel):
         self._window = np.empty(shape)
         self._window[:] = self._initial_window
         self._inverse = np.reciprocal(self._window)
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial_window
-        self._window = np.concatenate([self._window, fresh], axis=1)
-        self._inverse = np.concatenate(
-            [self._inverse, np.reciprocal(fresh)], axis=1
-        )
-        self.capacity = capacity
 
     def init_packets(self, newly: np.ndarray) -> None:
         initial = _cells(self._initial_window, newly)
@@ -248,6 +246,8 @@ class BinaryExponentialKernel(VectorProtocolKernel):
 class PolynomialKernel(VectorProtocolKernel):
     """Collision count per packet; window is ``w0 * (collisions+1)**degree``."""
 
+    cell_state = ("_collisions", "_inverse")
+
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
         self._initial_window = _param_column(pairs, lambda p: p.initial_window)
@@ -256,19 +256,6 @@ class PolynomialKernel(VectorProtocolKernel):
         self._collisions = np.zeros(shape, dtype=np.int64)
         self._inverse = np.empty(shape)
         self._inverse[:] = 1.0 / self._initial_window
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        self._collisions = np.concatenate(
-            [self._collisions, np.zeros((self.replications, extra), dtype=np.int64)],
-            axis=1,
-        )
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = 1.0 / self._initial_window
-        self._inverse = np.concatenate([self._inverse, fresh], axis=1)
-        self.capacity = capacity
 
     def init_packets(self, newly: np.ndarray) -> None:
         self._collisions[newly] = 0
@@ -303,6 +290,7 @@ class SawtoothKernel(VectorProtocolKernel):
 
     sensing = True
     listens = False
+    cell_state = ("_phase", "_window", "_count", "_inverse")
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -324,22 +312,6 @@ class SawtoothKernel(VectorProtocolKernel):
 
     def window_matrix(self) -> np.ndarray:
         return self._window
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial_window
-        self._phase = np.concatenate([self._phase, fresh], axis=1)
-        self._window = np.concatenate([self._window, fresh.copy()], axis=1)
-        self._count = np.concatenate(
-            [self._count, np.zeros((self.replications, extra), dtype=np.int64)], axis=1
-        )
-        self._inverse = np.concatenate(
-            [self._inverse, np.reciprocal(fresh)], axis=1
-        )
-        self.capacity = capacity
 
     def init_packets(self, newly: np.ndarray) -> None:
         initial = _cells(self._initial_window, newly)
@@ -386,6 +358,7 @@ class FullSensingMWKernel(VectorProtocolKernel):
 
     sensing = True
     listens = True
+    cell_state = ("_probability",)
 
     def __init__(self, pairs: ProtocolRows, capacity: int) -> None:
         super().__init__(_rows(pairs), capacity)
@@ -400,15 +373,6 @@ class FullSensingMWKernel(VectorProtocolKernel):
 
     def sending_probabilities(self) -> np.ndarray:
         return self._probability
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        fresh = np.empty((self.replications, extra))
-        fresh[:] = self._initial
-        self._probability = np.concatenate([self._probability, fresh], axis=1)
-        self.capacity = capacity
 
     def init_packets(self, newly: np.ndarray) -> None:
         self._probability[newly] = _cells(self._initial, newly)
@@ -458,6 +422,7 @@ class LowSensingKernel(VectorProtocolKernel):
 
     sensing = True
     listens = True
+    cell_state = ("_window", "_send_threshold", "_listen_threshold")
 
     def __init__(
         self, pairs: ProtocolRows, capacity: int, *, decoupled: bool = False
@@ -485,10 +450,9 @@ class LowSensingKernel(VectorProtocolKernel):
     def _set_thresholds(self, mask: np.ndarray) -> None:
         """Recompute both thresholds at each True cell of ``mask``."""
         window = self._window[mask]
-        c = _cells(self._c, mask)
-        log_cubed = np.log(window) ** 3
-        access = np.minimum(1.0, c * log_cubed / window)
-        send_given_access = np.minimum(1.0, 1.0 / (c * log_cubed))
+        c_log_cubed = _cells(self._c, mask) * np.log(window) ** 3
+        access = np.minimum(1.0, c_log_cubed / window)
+        send_given_access = np.minimum(1.0, 1.0 / c_log_cubed)
         send = access * send_given_access
         if self._decoupled:
             self._send_threshold[mask] = send
@@ -496,23 +460,6 @@ class LowSensingKernel(VectorProtocolKernel):
         else:
             self._send_threshold[mask] = send
             self._listen_threshold[mask] = access
-
-    def grow(self, capacity: int) -> None:
-        extra = capacity - self.capacity
-        if extra <= 0:
-            return
-        shape = (self.replications, extra)
-        for name in ("_window", "_send_threshold", "_listen_threshold"):
-            setattr(
-                self,
-                name,
-                np.concatenate([getattr(self, name), np.empty(shape)], axis=1),
-            )
-        self._window[:, self.capacity :] = self._w_min
-        grown = np.zeros((self.replications, capacity), dtype=bool)
-        grown[:, self.capacity :] = True
-        self.capacity = capacity
-        self._set_thresholds(grown)
 
     def init_packets(self, newly: np.ndarray) -> None:
         self._window[newly] = _cells(self._w_min, newly)
@@ -527,17 +474,6 @@ class LowSensingKernel(VectorProtocolKernel):
         # listen-only cells.
         np.logical_xor(listen_out, send_out, out=listen_out)
 
-    def _update_windows(self, mask: np.ndarray, *, backon: bool) -> None:
-        window = self._window[mask]
-        c = _cells(self._c, mask)
-        factor = 1.0 + 1.0 / (c * np.log(window))
-        if backon:
-            window = np.maximum(window / factor, _cells(self._w_min, mask))
-        else:
-            window = window * factor
-        self._window[mask] = window
-        self._set_thresholds(mask)
-
     def on_feedback(
         self,
         empty_rows: np.ndarray,
@@ -550,14 +486,21 @@ class LowSensingKernel(VectorProtocolKernel):
         # surviving senders are exactly the accessors in noise rows (a lone
         # unjammed sender wins and departs), and listeners hear whatever
         # the row's feedback was.  SUCCESS rows leave windows unchanged.
-        if empty_rows.any():
-            mask = listen & empty_rows[:, None]
-            if mask.any():
-                self._update_windows(mask, backon=True)
-        if noise_rows.any():
-            mask = (send | listen) & noise_rows[:, None]
-            if mask.any():
-                self._update_windows(mask, backon=False)
+        # Listeners in idle rows back on, accessors in noisy rows back off;
+        # no row is both, so one pass updates both sets.
+        backon = listen & empty_rows[:, None]
+        mask = (send | listen) & noise_rows[:, None]
+        mask |= backon
+        if not mask.any():
+            return
+        window = self._window[mask]
+        factor = 1.0 + 1.0 / (_cells(self._c, mask) * np.log(window))
+        self._window[mask] = np.where(
+            backon[mask],
+            np.maximum(window / factor, _cells(self._w_min, mask)),
+            window * factor,
+        )
+        self._set_thresholds(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,17 @@
 Each replication in a batch owns two counter-based Philox streams — one for
 its packets' coins, one for its adversary's coins — keyed off the
 replication's own master seed via the same SHA-256 derivation the scalar
-engine uses (:func:`repro.sim.rng.derive_seed`).  Keying per replication
-keeps replications statistically independent and makes a batch's output a
-deterministic function of its seed list: running the same batch twice is
-bit-identical.
+engine uses (:func:`repro.sim.rng.derive_seed`).
 
-The scalar engine hands every *packet* its own ``random.Random``; the vector
-engine instead draws one ``(replications × packets)`` coin matrix per slot
-from the per-replication streams.  The two layouts produce different (but
-identically distributed) coin sequences, which is exactly why vector results
-match scalar results statistically rather than bit-for-bit.
+The coin contract: **each slot, a replication draws exactly one uniform per
+live packet, in ascending packet-id order, from its own packet stream** — so
+its coins, and its result, are a function of (spec, seed) alone, whatever
+batch, batch order, mega-batch partners or column layout it runs in.
 
-Coins are drawn in blocks of slots (amortising the per-replication Python
-loop to one generator call per block) and the block size is a deterministic
-function of the batch geometry, so the coin consumed at ``(replication,
-slot, packet)`` never depends on timing or chunk boundaries chosen at run
-time.
+The scalar engine instead hands every *packet* its own ``random.Random``;
+the two layouts produce different (but identically distributed) coin
+sequences, which is why vector results match scalar results statistically
+rather than bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,14 +24,10 @@ import numpy as np
 
 from repro.sim.rng import derive_seed
 
-#: Upper bound on the per-block coin buffer, in float64 entries (~16 MiB).
-_MAX_BLOCK_ENTRIES = 2_000_000
-
-
-def block_slots(num_replications: int, capacity: int) -> int:
-    """Slots of packet coins to buffer per refill (deterministic in shape)."""
-    per_slot = max(1, num_replications * max(1, capacity))
-    return max(1, min(256, _MAX_BLOCK_ENTRIES // per_slot))
+#: Upper bound on the coin buffer of a whole batch, in float64 entries
+#: (~16 MiB), and the per-replication buffer length below it.
+_MAX_BUFFER_ENTRIES = 2_000_000
+_ROW_BUFFER = 4096
 
 
 class VectorStreams:
@@ -59,15 +50,7 @@ class VectorStreams:
         return len(self.seeds)
 
     def slice(self, start: int, stop: int) -> "StreamView":
-        """A view of the replication range ``[start, stop)``.
-
-        The view *shares* the underlying generator objects, which is what
-        mega-batched execution relies on: a segment consuming coins through
-        its view advances exactly the same generators, in exactly the same
-        per-replication order, as a standalone batch of that segment would —
-        the property that keeps mega-batched results bit-identical to
-        per-group vector runs.
-        """
+        """A view of the replication range ``[start, stop)`` (shared generators)."""
         return StreamView(
             self.seeds[start:stop],
             self.packet_generators[start:stop],
@@ -95,57 +78,64 @@ class StreamView:
 
 
 class CoinBlocks:
-    """Blocked ``(R, P)`` per-slot uniforms from per-replication streams.
+    """Per-replication cursors over buffered packet-coin streams.
 
-    ``coins(slot)`` returns the coin matrix for ``slot``; consecutive slots
-    read consecutive rows of a pre-drawn ``(R, block, P)`` buffer.  When the
-    packet capacity grows, the remainder of the current block is discarded
-    and a fresh block is drawn at the new width — deterministic, because
-    capacity growth itself is a deterministic function of the seeds.
+    Row ``r`` of an ``(R, size)`` buffer holds replication ``r``'s next
+    unread uniforms; a row down to half its buffer moves its remainder to
+    the front and tops up from its generator.  Philox's ``Generator.random`` is
+    chunk-invariant, so neither the buffer size nor the refill points
+    change which uniform a replication reads next.
     """
 
-    def __init__(self, streams: "VectorStreams | StreamView", capacity: int) -> None:
-        self._streams = streams
-        self._capacity = max(1, capacity)
-        self._block: np.ndarray | None = None
-        self._block_start = 0
-        self._block_len = 0
+    def __init__(self, streams: "VectorStreams | StreamView") -> None:
+        self._generators = streams.packet_generators
+        self._size = 0
+        self._buffer = np.empty((len(self._generators), 0))
+        self._flat = self._buffer.reshape(-1)
+        self._row_start = np.zeros(len(self._generators), dtype=np.int64)
+        self._head = self._row_start.copy()
+        #: A lower bound on every row's unread uniforms.
+        self._room = 0
+        #: Total uniforms handed out so far.
+        self.draws = 0
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+    def coins(self, counts: np.ndarray, most: int) -> np.ndarray:
+        """Each row's next ``counts[r]`` uniforms, concatenated in row order.
 
-    def resize(self, capacity: int) -> None:
-        """Grow the packet dimension; discards the rest of the current block."""
-        if capacity <= self._capacity:
-            return
-        self._capacity = capacity
-        self._block = None
-
-    def coins(self, slot: int, running: np.ndarray | None = None) -> np.ndarray:
-        """The ``(R, capacity)`` uniform coin matrix for ``slot``.
-
-        ``running`` masks replications whose execution already ended; their
-        streams stop being consumed (and their rows hold stale coins no one
-        reads).  Because finish times are a deterministic function of the
-        seeds, skipping them keeps runs bit-reproducible.
+        ``most`` bounds every ``counts[r]``.
         """
-        if self._block is None or not (
-            self._block_start <= slot < self._block_start + self._block_len
-        ):
-            self._refill(slot, running)
-        assert self._block is not None
-        return self._block[:, slot - self._block_start, :]
+        if most > self._room:
+            self._refill(most)
+        self._room -= most
+        cumulative = counts.cumsum()
+        total = int(cumulative[-1])
+        end = self._head + counts
+        # Row r's k-th coin sits at flat offset head[r] + k.
+        index = (end - cumulative).repeat(counts)
+        index += np.arange(total)
+        self._head = end
+        self.draws += total
+        return self._flat.take(index)
 
-    def _refill(self, start_slot: int, running: np.ndarray | None) -> None:
-        replications = len(self._streams)
-        block = block_slots(replications, self._capacity)
-        if self._block is None or self._block.shape[2] != self._capacity:
-            self._block = np.empty(
-                (replications, block, self._capacity), dtype=np.float64
-            )
-        for index, generator in enumerate(self._streams.packet_generators):
-            if running is None or running[index]:
-                self._block[index] = generator.random((block, self._capacity))
-        self._block_start = start_slot
-        self._block_len = block
+    def _refill(self, most: int) -> None:
+        """Top up every row that is down to half its buffer."""
+        replications = len(self._generators)
+        position = self._head - self._row_start
+        if 4 * most > self._size:
+            # Widen, keeping every row's unread tail at the right end.
+            default = min(_ROW_BUFFER, _MAX_BUFFER_ENTRIES // replications)
+            size = max(4 * most, 2 * self._size, default)
+            widened = np.empty((replications, size))
+            widened[:, size - self._size :] = self._buffer
+            position += size - self._size
+            self._buffer, self._size = widened, size
+            self._flat = widened.reshape(-1)
+            self._row_start = np.arange(replications) * size
+        buffer, size = self._buffer, self._size
+        for row in np.nonzero(position > size // 2)[0].tolist():
+            left = size - int(position[row])
+            buffer[row, :left] = buffer[row, size - left :]
+            buffer[row, left:] = self._generators[row].random(size - left)
+            position[row] = 0
+        self._head = self._row_start + position
+        self._room = size - int(position.max())

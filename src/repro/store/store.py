@@ -12,8 +12,8 @@ Design rules that the rest of the system depends on:
   by ``(spec_hash, seed, backend_layout)`` — the spec's content hash
   (:meth:`~repro.experiments.plan.RunSpec.cache_key`), its seed, and the
   identity namespace of the result layout ("scalar" for the bit-identical
-  serial/process engines, ``vector:<batch-sig>`` for a lockstep batch of a
-  specific composition).  Writing the same run twice is a no-op, which is
+  serial/process engines, ``vector-live:<batch-sig>`` for a campaign's
+  lockstep vector unit).  Writing the same run twice is a no-op, which is
   what makes interrupted-and-resumed campaigns converge to the same store
   as uninterrupted ones.
 * **Artifacts are content-addressed.**  The full pickled

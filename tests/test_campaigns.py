@@ -198,7 +198,7 @@ class TestRunAndResume:
                 campaign_id="v",
             )
             layouts = set(store.stats()["runs_by_layout"])
-            assert all(layout.startswith("vector:") for layout in layouts)
+            assert all(layout.startswith("vector-live:") for layout in layouts)
             assert len(layouts) == 2  # one batch signature per protocol group
 
     def test_processes_campaign_fingerprints_like_serial(self, tmp_path):
@@ -237,7 +237,37 @@ class TestRunAndResume:
             )
             by_layout = store.stats()["runs_by_layout"]
             assert by_layout["scalar"] == 4
-            assert sum(v for k, v in by_layout.items() if k.startswith("vector:")) == 4
+            assert sum(v for k, v in by_layout.items() if k.startswith("vector-live:")) == 4
+
+    def test_resume_reruns_vector_units_stored_under_the_old_layout_tag(self, tmp_path):
+        """A campaign begun under the dense coin layout (``vector:`` units)
+        re-runs those units on resume instead of mixing layouts."""
+        with ResultsStore(tmp_path / "store") as store:
+            with pytest.raises(CampaignInterrupted):
+                start_campaign(
+                    store,
+                    _scenario(VECTOR_ONLY),
+                    scale="smoke",
+                    backend_name="vector",
+                    campaign_id="v",
+                    fail_after_units=1,
+                )
+            # Plant the first unit as the old layout would have stored it.
+            with store._connection:
+                for table in ("runs", "campaign_runs", "campaign_units"):
+                    store._connection.execute(
+                        f"UPDATE {table} SET backend_layout = "
+                        "replace(backend_layout, 'vector-live:', 'vector:')"
+                    )
+            (old,) = store.stats()["runs_by_layout"]
+            assert old.startswith("vector:")
+            outcome = resume_campaign(store, "v")
+            assert outcome.status == "complete"
+            assert outcome.executed_runs == outcome.total_runs == 4
+            assert outcome.skipped_runs == 0
+            layouts = {row["backend_layout"] for row in store.campaign_run_rows("v")}
+            assert all(layout.startswith("vector-live:") for layout in layouts)
+            assert len(layouts) == 2
 
     def test_vector_campaign_with_reactive_scenario_cuts_scalar_units(self, tmp_path):
         """A reactive adversary keeps every group on the scalar engine, so a

@@ -52,7 +52,7 @@ from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.engine import Simulator
 from repro.sim.results import PacketRecord, SimulationResult
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
+from repro.sim.vector.rng import VectorStreams
 
 
 def packet_tuples(result):
@@ -214,18 +214,16 @@ class TestRendering:
 # ---------------------------------------------------------------------------
 
 
-def reference_trajectory(adversary, seed, max_slots, capacity, window):
+def reference_trajectory(adversary, seed, max_slots, window):
     """Sample a trajectory by re-running one replication with scalar
     components on the vector coins (same harness as ``reference_run`` in
     ``test_vector_reactive``), snapshotting at every window boundary."""
     protocol = BinaryExponentialBackoff()
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, capacity)
+    generator = VectorStreams([seed]).packet_generators[0]
     states, active = {}, []
     sends_total = listens_total = 0
     cum = dict(arrivals=0, successes=0, collisions=0, jammed=0)
     next_id = 0
-    running = np.ones(1, dtype=bool)
     snapshots = []
     budget = jammer_budget(adversary)
 
@@ -264,7 +262,8 @@ def reference_trajectory(adversary, seed, max_slots, capacity, window):
         next_id += num_arrivals
         cum["arrivals"] += num_arrivals
         jammed = bool(adversary.jam(view, None))
-        row = coins.coins(slot, running)[0]
+        # One coin per live packet, in ascending id order.
+        row = dict(zip(active, generator.random(len(active))))
         senders = [i for i in active if row[i] < states[i].sending_probability()]
         if not jammed and adversary.reactive:
             jammed = bool(adversary.reactive_jam(view, tuple(senders), None))
@@ -311,7 +310,7 @@ class TestVectorTrajectoryParity:
                 CompositeAdversary(
                     BatchArrivals(12), ReactiveSuccessJammer(budget=6)
                 ),
-                seed, 4000, 12, window,
+                seed, 4000, window,
             )
             assert vector.dynamics is not None
             assert vector.dynamics == reference

@@ -4,10 +4,8 @@ The headline contract: stacking compatible replication groups into one
 ragged lockstep batch (``VectorSimulator.from_spec_groups``, used by
 ``VectorBackend(mega_batch=True)``) is a pure wall-clock optimisation —
 results are **bit-identical** to running each group through its own
-per-group batch.  That identity is what keeps the campaign store's
-``vector:<batch_signature>`` storage identities stable: a mega-batched
-sweep produces byte-for-byte the artifacts a per-group campaign run
-produces.
+per-group batch, so a mega-batched sweep produces byte-for-byte the
+artifacts a per-group campaign run produces.
 """
 
 from __future__ import annotations
@@ -180,8 +178,8 @@ class TestBitIdentityWithPerGroupExecution:
         assert backend.mega_batches == 2
 
     def test_capacity_growth_stays_per_group(self):
-        # One group's Poisson overflow grows *its* capacity (and coin
-        # geometry); the small group alongside must be unaffected.
+        # One group's Poisson overflow widens the shared live set; the
+        # small group alongside must be unaffected.
         spec_groups = [
             group(
                 BinaryExponentialBackoff(),

@@ -222,8 +222,8 @@ class TestInvariants:
                     assert packet.sends >= 1
 
     def test_capacity_growth_is_deterministic(self):
-        # Poisson arrivals exceed the initial capacity guess and force the
-        # state arrays to grow mid-run; growth must not break determinism.
+        # Poisson arrivals force the live-set arrays to grow (and compact)
+        # mid-run; neither may break determinism.
         def run_batch():
             return VectorSimulator(
                 BinaryExponentialBackoff(),
@@ -235,7 +235,7 @@ class TestInvariants:
 
         first, second = run_batch(), run_batch()
         totals = [r.num_arrivals for r in first]
-        assert max(totals) > 64  # the initial open-ended capacity guess
+        assert max(totals) > 64
         for a, b in zip(first, second):
             assert packet_tuples(a) == packet_tuples(b)
 

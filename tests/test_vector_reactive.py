@@ -23,7 +23,6 @@ checking, mirroring ``test_vector_sensing``:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.adversary.adaptive import BacklogCouplingAdversary
@@ -45,7 +44,7 @@ from repro.core.potential import PotentialCoefficients, PotentialTracker
 from repro.experiments.plan import RunSpec, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.sim.vector import VectorSimulator
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
+from repro.sim.vector.rng import VectorStreams
 
 
 def packet_tuples(result):
@@ -60,7 +59,7 @@ def packet_tuples(result):
 # ---------------------------------------------------------------------------
 
 
-def reference_run(adversary, seed, max_slots, capacity, *, collect=False):
+def reference_run(adversary, seed, max_slots, *, collect=False):
     """Re-run one replication with scalar components on the vector coins.
 
     ``adversary`` is a *scalar* adversary object (a fresh instance — the
@@ -76,15 +75,13 @@ def reference_run(adversary, seed, max_slots, capacity, *, collect=False):
     potential sampled from post-departure windows.
     """
     protocol = BinaryExponentialBackoff()
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, capacity)
+    generator = VectorStreams([seed]).packet_generators[0]
     states: dict[int, object] = {}
     active: list[int] = []
     sends: dict[int, int] = {}
     arrival_slots: dict[int, int] = {}
     departed: dict[int, int] = {}
     next_id = 0
-    running = np.ones(1, dtype=bool)
     records: list[SlotRecord] = []
     tracker = PotentialTracker(PotentialCoefficients()) if collect else None
     slot = 0
@@ -103,7 +100,8 @@ def reference_run(adversary, seed, max_slots, capacity, *, collect=False):
         next_id += num_arrivals
         active_before = len(active)
         jammed = bool(adversary.jam(view, None))
-        row = coins.coins(slot, running)[0]
+        # One coin per live packet, in ascending id order.
+        row = dict(zip(active, generator.random(len(active))))
         senders = [i for i in active if row[i] < states[i].sending_probability()]
         if not jammed and adversary.reactive:
             jammed = bool(adversary.reactive_jam(view, tuple(senders), None))
@@ -164,7 +162,7 @@ class TestReactiveKernelsMatchScalarAdversaries:
             adversary = CompositeAdversary(
                 BatchArrivals(12), ReactiveSuccessJammer(budget=6)
             )
-            packets, _, _ = reference_run(adversary, seed, 4000, 12)
+            packets, _, _ = reference_run(adversary, seed, 4000)
             assert packet_tuples(vector) == packets
             assert vector.collector.num_jammed == 6
 
@@ -181,7 +179,7 @@ class TestReactiveKernelsMatchScalarAdversaries:
                 BatchArrivals(8),
                 ReactiveTargetedJammer(budget=4, target_index=target),
             )
-            packets, _, _ = reference_run(adversary, seed, 4000, 8)
+            packets, _, _ = reference_run(adversary, seed, 4000)
             assert packet_tuples(vector) == packets
 
     def test_backlog_coupling(self):
@@ -199,7 +197,7 @@ class TestReactiveKernelsMatchScalarAdversaries:
             reference = BacklogCouplingAdversary(
                 target_backlog=3, total_packets=12, jam_budget=4
             )
-            packets, _, _ = reference_run(reference, seed, 4000, 12)
+            packets, _, _ = reference_run(reference, seed, 4000)
             assert packet_tuples(vector) == packets
 
 
@@ -224,7 +222,7 @@ class TestTraceAndPotentialParity:
                 BatchArrivals(10), ReactiveSuccessJammer(budget=4)
             )
             _, records, samples = reference_run(
-                adversary, seed, 4000, 10, collect=True
+                adversary, seed, 4000, collect=True
             )
             assert vector.trace is not None
             assert vector.potential is not None

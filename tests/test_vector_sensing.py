@@ -33,7 +33,7 @@ from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.sawtooth import SawtoothBackoff
 from repro.sim.vector import VectorSimulator
 from repro.sim.vector.protocols import LowSensingKernel, make_protocol_kernel
-from repro.sim.vector.rng import CoinBlocks, VectorStreams
+from repro.sim.vector.rng import VectorStreams
 
 
 def packet_tuples(result):
@@ -55,17 +55,16 @@ def reference_run(protocol, n, seed, max_slots, thresholds):
     to the single-coin trichotomy the kernels use: ``u < t_send`` sends,
     ``t_send <= u < t_listen`` listens, the rest sleeps.
     """
-    streams = VectorStreams([seed])
-    coins = CoinBlocks(streams, n)
+    generator = VectorStreams([seed]).packet_generators[0]
     states = [protocol.new_packet_state() for _ in range(n)]
     active = list(range(n))
     sends = [0] * n
     listens = [0] * n
     departed: dict[int, int] = {}
-    running = np.ones(1, dtype=bool)
     slot = 0
     while slot < max_slots and (slot == 0 or active):
-        row = coins.coins(slot, running)[0]
+        # One coin per live packet, in ascending id order.
+        row = dict(zip(active, generator.random(len(active))))
         senders, listeners = [], []
         for index in active:
             t_send, t_listen = thresholds(states[index])
