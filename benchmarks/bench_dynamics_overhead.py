@@ -11,9 +11,10 @@ the per-slot hot loop (a cheap accumulator on the scalar engine, a
 post-loop materialisation on the vector engine), so enabling it must
 cost almost nothing and the disabled path must cost exactly nothing.
 The asserted bar is a ratio <= 1.05x; on contended CI hardware it can
-be relaxed via ``BENCH_DYNAMICS_OVERHEAD_TARGET``, and the measured
-ratio is always written to the JSON artifact so the acceptance number
-stays auditable.
+be relaxed via ``BENCH_DYNAMICS_OVERHEAD_TARGET``.  The JSON artifact
+records the measured ratio, the 1.05x target and the bar actually asserted
+as separate fields, plus the counters of the backend that ran, so the
+acceptance number stays auditable.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ BATCH_SIZES = (100, 200)
 DYNAMICS_WINDOW = 500
 
 #: Enabled/disabled wall-clock ratio the off-hot-path contract allows.
-OVERHEAD_TARGET = float(os.environ.get("BENCH_DYNAMICS_OVERHEAD_TARGET", "1.05"))
+OVERHEAD_TARGET = 1.05
+
+#: The bar actually asserted: the target, unless relaxed for contended CI
+#: hardware via ``BENCH_DYNAMICS_OVERHEAD_TARGET``.
+OVERHEAD_BAR = float(os.environ.get("BENCH_DYNAMICS_OVERHEAD_TARGET", OVERHEAD_TARGET))
 
 #: Timed rounds per mode; the minimum is reported to shed scheduler noise.
 ROUNDS = 3
@@ -67,13 +72,15 @@ def build_plan(dynamics_window: int) -> SweepPlan:
     return plan
 
 
-def _time_plan(plan: SweepPlan) -> float:
+def _time_plan(plan: SweepPlan) -> tuple[float, VectorBackend]:
+    """Best of ``ROUNDS`` runs, and the backend of the last (to describe)."""
     best = float("inf")
     for _ in range(ROUNDS):
+        backend = VectorBackend()
         started = time.perf_counter()
-        plan.run(VectorBackend())
+        plan.run(backend)
         best = min(best, time.perf_counter() - started)
-    return best
+    return best, backend
 
 
 def test_dynamics_overhead(benchmark):
@@ -97,13 +104,13 @@ def test_dynamics_overhead(benchmark):
     _time_plan(warm_off)
     _time_plan(warm_on)
 
-    disabled_seconds = benchmark.pedantic(
+    disabled_seconds, backend = benchmark.pedantic(
         lambda: _time_plan(disabled_plan),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    enabled_seconds = _time_plan(enabled_plan)
+    enabled_seconds, _ = _time_plan(enabled_plan)
 
     ratio = enabled_seconds / disabled_seconds
     record_bench(
@@ -111,13 +118,14 @@ def test_dynamics_overhead(benchmark):
         "E1_vector_core_dynamics_overhead",
         seconds=disabled_seconds,
         scale="default",
-        backend=VectorBackend().describe(),
+        backend=backend.describe(),
         mirror=mirror_path(BENCH_DYNAMICS_PATH),
         extra={
             "enabled_seconds": round(enabled_seconds, 4),
             "disabled_seconds": round(disabled_seconds, 4),
             "overhead_ratio": round(ratio, 4),
             "overhead_target": OVERHEAD_TARGET,
+            "overhead_bar": OVERHEAD_BAR,
             "dynamics_window": DYNAMICS_WINDOW,
             "rounds": ROUNDS,
             "replications": REPLICATIONS,
@@ -127,9 +135,9 @@ def test_dynamics_overhead(benchmark):
     print(
         f"\ndynamics enabled {enabled_seconds:.3f}s vs disabled "
         f"{disabled_seconds:.3f}s -> {ratio:.3f}x "
-        f"(target <= {OVERHEAD_TARGET}x) [{len(disabled_plan)} runs]"
+        f"(bar <= {OVERHEAD_BAR}x, target {OVERHEAD_TARGET}x) [{len(disabled_plan)} runs]"
     )
-    assert ratio <= OVERHEAD_TARGET, (
+    assert ratio <= OVERHEAD_BAR, (
         f"dynamics overhead ratio {ratio:.3f}x exceeded the "
-        f"{OVERHEAD_TARGET}x acceptance bar"
+        f"{OVERHEAD_BAR}x acceptance bar"
     )

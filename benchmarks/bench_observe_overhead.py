@@ -12,8 +12,10 @@ The aggregation layer inherits telemetry's contract: it only ever *reads*
 monotonic clocks, ``/proc``, and already-emitted events, so stacking it on
 must stay inside the same <= 1.05x bar the base instrumentation meets.
 On contended CI hardware the bar can be relaxed via
-``BENCH_OBSERVE_OVERHEAD_TARGET``; the measured ratio is always written to
-the JSON artifact so the acceptance number stays auditable.
+``BENCH_OBSERVE_OVERHEAD_TARGET``.  The JSON artifact records the measured
+ratio, the 1.05x target and the bar actually asserted as separate fields,
+plus the counters of the backend that ran, so the acceptance number stays
+auditable.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ REPLICATIONS = 24
 BATCH_SIZES = (100, 200)
 
 #: Enabled/disabled wall-clock ratio the aggregation layer may cost.
-OVERHEAD_TARGET = float(os.environ.get("BENCH_OBSERVE_OVERHEAD_TARGET", "1.05"))
+OVERHEAD_TARGET = 1.05
+
+#: The bar actually asserted: the target, unless relaxed for contended CI
+#: hardware via ``BENCH_OBSERVE_OVERHEAD_TARGET``.
+OVERHEAD_BAR = float(os.environ.get("BENCH_OBSERVE_OVERHEAD_TARGET", OVERHEAD_TARGET))
 
 #: Resource-sampler poll interval; deliberately much tighter than the
 #: 0.25s default so the bar covers a worst-case sampling cadence.
@@ -69,26 +75,30 @@ def build_plan() -> SweepPlan:
     return plan
 
 
-def _time_disabled(plan: SweepPlan) -> float:
+def _time_disabled(plan: SweepPlan) -> tuple[float, VectorBackend]:
+    """Best of ``ROUNDS`` runs, and the backend of the last (to describe)."""
     best = float("inf")
     for _ in range(ROUNDS):
+        backend = VectorBackend()
         started = time.perf_counter()
         with activated(None):
-            plan.run(VectorBackend())
+            plan.run(backend)
         best = min(best, time.perf_counter() - started)
-    return best
+    return best, backend
 
 
-def _time_observed(plan: SweepPlan, jsonl_path) -> float:
+def _time_observed(plan: SweepPlan, jsonl_path) -> tuple[float, VectorBackend]:
+    """Best of ``ROUNDS`` observed runs, and the backend of the last."""
     best = float("inf")
     for _ in range(ROUNDS):
+        backend = VectorBackend()
         session = TelemetrySession([RegistrySink(), JsonlSink(jsonl_path)])
         started = time.perf_counter()
         with activated(session):
             with ResourceSampler(session, interval=SAMPLE_INTERVAL):
-                plan.run(VectorBackend())
+                plan.run(backend)
         best = min(best, time.perf_counter() - started)
-    return best
+    return best, backend
 
 
 def test_observe_overhead(benchmark, tmp_path):
@@ -105,13 +115,13 @@ def test_observe_overhead(benchmark, tmp_path):
     _time_disabled(warm)
     _time_observed(warm, tmp_path / "warm.jsonl")
 
-    disabled_seconds = benchmark.pedantic(
+    disabled_seconds, backend = benchmark.pedantic(
         lambda: _time_disabled(plan),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    enabled_seconds = _time_observed(plan, jsonl)
+    enabled_seconds, _ = _time_observed(plan, jsonl)
 
     ratio = enabled_seconds / disabled_seconds
     record_bench(
@@ -119,13 +129,14 @@ def test_observe_overhead(benchmark, tmp_path):
         "E1_vector_core_observe_overhead",
         seconds=disabled_seconds,
         scale="default",
-        backend=VectorBackend().describe(),
+        backend=backend.describe(),
         mirror=mirror_path(BENCH_OBSERVE_PATH),
         extra={
             "enabled_seconds": round(enabled_seconds, 4),
             "disabled_seconds": round(disabled_seconds, 4),
             "overhead_ratio": round(ratio, 4),
             "overhead_target": OVERHEAD_TARGET,
+            "overhead_bar": OVERHEAD_BAR,
             "sample_interval": SAMPLE_INTERVAL,
             "rounds": ROUNDS,
             "replications": REPLICATIONS,
@@ -135,9 +146,9 @@ def test_observe_overhead(benchmark, tmp_path):
     print(
         f"\nobserve stack enabled {enabled_seconds:.3f}s vs disabled "
         f"{disabled_seconds:.3f}s -> {ratio:.3f}x "
-        f"(target <= {OVERHEAD_TARGET}x) [{len(plan)} runs]"
+        f"(bar <= {OVERHEAD_BAR}x, target {OVERHEAD_TARGET}x) [{len(plan)} runs]"
     )
-    assert ratio <= OVERHEAD_TARGET, (
+    assert ratio <= OVERHEAD_BAR, (
         f"observe overhead ratio {ratio:.3f}x exceeded the "
-        f"{OVERHEAD_TARGET}x acceptance bar"
+        f"{OVERHEAD_BAR}x acceptance bar"
     )

@@ -8,8 +8,9 @@ Two perf bars guard the two layers added for the sensing-tier work:
   a >= 4x speedup: before the sensing kernels existed this workload hit
   the serial fallback, so the bar pins the sensing tier to the fast path.
 * **Mega-batching** — a 50-configuration LOW-SENSING sweep (w_min and
-  batch size varied per config) through the vector backend with
-  mega-batching on vs off.  Mega-batched execution is bit-identical to
+  batch size varied per config) through the vector backend (one
+  mega-batch) vs one ``VectorSimulator.from_specs`` launch per
+  configuration.  Mega-batched execution is bit-identical to
   per-group execution (asserted below on the aggregate rows; the exact
   per-packet identity is enforced by tests), so the >= 1.3x bar is pure
   dispatch overhead reclaimed by stacking compatible groups into one
@@ -36,7 +37,8 @@ from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
 from repro.experiments.bench import record_bench
-from repro.experiments.plan import SweepPlan, factory
+from repro.experiments.plan import PlanResults, SweepPlan, factory
+from repro.sim.vector import VectorSimulator
 
 BENCH_SENSING_PATH = RESULTS_DIR / "BENCH_sensing.json"
 
@@ -118,7 +120,7 @@ def test_sensing_vector_speedup(benchmark):
 
     # -- Mega-batching: one ragged lockstep launch vs one launch per group.
     mega_plan = build_mega_plan()
-    mega_backend = VectorBackend(mega_batch=True)
+    mega_backend = VectorBackend()
     started = time.perf_counter()
     mega_results = mega_plan.run(mega_backend)
     mega_seconds = time.perf_counter() - started
@@ -127,11 +129,16 @@ def test_sensing_vector_speedup(benchmark):
         f"got {mega_backend.mega_batches}"
     )
 
-    per_group_backend = VectorBackend(mega_batch=False)
+    specs = mega_plan.specs
+    per_group: list = [None] * len(specs)
     started = time.perf_counter()
-    per_group_results = mega_plan.run(per_group_backend)
+    for group in mega_plan.groups:
+        batch = VectorSimulator.from_specs([specs[i] for i in group.spec_indices])
+        for index, result in zip(group.spec_indices, batch.run()):
+            per_group[index] = result
     per_group_seconds = time.perf_counter() - started
-    assert per_group_backend.mega_batches == MEGA_CONFIGS
+    assert len(mega_plan.groups) == MEGA_CONFIGS
+    per_group_results = PlanResults(mega_plan, per_group)
 
     # Mega-batching must not change results at all (full bit-identity is
     # enforced by the test suite; the aggregate rows pin it cheaply here).

@@ -9,8 +9,10 @@ in ``benchmarks/results/BENCH_telemetry.json``.
 The observability contract is that instrumentation samples *outside* the
 per-slot hot loop, so enabling it must cost almost nothing: the asserted
 bar is a ratio <= 1.05x.  On contended CI hardware the bar can be relaxed
-via ``BENCH_TELEMETRY_OVERHEAD_TARGET``; the measured ratio is always
-written to the JSON artifact so the acceptance number stays auditable.
+via ``BENCH_TELEMETRY_OVERHEAD_TARGET``.  The JSON artifact records the
+measured ratio, the 1.05x target and the bar actually asserted as separate
+fields, plus the counters of the backend that ran, so the acceptance number
+stays auditable.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ REPLICATIONS = 24
 BATCH_SIZES = (100, 200)
 
 #: Enabled/disabled wall-clock ratio the disabled-path contract allows.
-OVERHEAD_TARGET = float(os.environ.get("BENCH_TELEMETRY_OVERHEAD_TARGET", "1.05"))
+OVERHEAD_TARGET = 1.05
+
+#: The bar actually asserted: the target, unless relaxed for contended CI
+#: hardware via ``BENCH_TELEMETRY_OVERHEAD_TARGET``.
+OVERHEAD_BAR = float(os.environ.get("BENCH_TELEMETRY_OVERHEAD_TARGET", OVERHEAD_TARGET))
 
 #: Timed rounds per mode; the minimum is reported to shed scheduler noise.
 ROUNDS = 3
@@ -61,14 +67,16 @@ def build_plan() -> SweepPlan:
     return plan
 
 
-def _time_plan(plan: SweepPlan, session_factory) -> float:
+def _time_plan(plan: SweepPlan, session_factory) -> tuple[float, VectorBackend]:
+    """Best of ``ROUNDS`` runs, and the backend of the last (to describe)."""
     best = float("inf")
     for _ in range(ROUNDS):
+        backend = VectorBackend()
         started = time.perf_counter()
         with activated(session_factory()):
-            plan.run(VectorBackend())
+            plan.run(backend)
         best = min(best, time.perf_counter() - started)
-    return best
+    return best, backend
 
 
 def test_telemetry_overhead(benchmark, tmp_path):
@@ -85,13 +93,13 @@ def test_telemetry_overhead(benchmark, tmp_path):
     _time_plan(warm, lambda: None)
     _time_plan(warm, lambda: TelemetrySession([JsonlSink(jsonl)]))
 
-    disabled_seconds = benchmark.pedantic(
+    disabled_seconds, backend = benchmark.pedantic(
         lambda: _time_plan(plan, lambda: None),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    enabled_seconds = _time_plan(
+    enabled_seconds, _ = _time_plan(
         plan, lambda: TelemetrySession([JsonlSink(jsonl)])
     )
 
@@ -101,13 +109,14 @@ def test_telemetry_overhead(benchmark, tmp_path):
         "E1_vector_core_telemetry_overhead",
         seconds=disabled_seconds,
         scale="default",
-        backend=VectorBackend().describe(),
+        backend=backend.describe(),
         mirror=mirror_path(BENCH_TELEMETRY_PATH),
         extra={
             "enabled_seconds": round(enabled_seconds, 4),
             "disabled_seconds": round(disabled_seconds, 4),
             "overhead_ratio": round(ratio, 4),
             "overhead_target": OVERHEAD_TARGET,
+            "overhead_bar": OVERHEAD_BAR,
             "rounds": ROUNDS,
             "replications": REPLICATIONS,
             "batch_sizes": list(BATCH_SIZES),
@@ -116,9 +125,9 @@ def test_telemetry_overhead(benchmark, tmp_path):
     print(
         f"\ntelemetry enabled {enabled_seconds:.3f}s vs disabled "
         f"{disabled_seconds:.3f}s -> {ratio:.3f}x "
-        f"(target <= {OVERHEAD_TARGET}x) [{len(plan)} runs]"
+        f"(bar <= {OVERHEAD_BAR}x, target {OVERHEAD_TARGET}x) [{len(plan)} runs]"
     )
-    assert ratio <= OVERHEAD_TARGET, (
+    assert ratio <= OVERHEAD_BAR, (
         f"telemetry overhead ratio {ratio:.3f}x exceeded the "
-        f"{OVERHEAD_TARGET}x acceptance bar"
+        f"{OVERHEAD_BAR}x acceptance bar"
     )

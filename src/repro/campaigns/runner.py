@@ -6,16 +6,16 @@ Execution model
 A campaign's plan is partitioned into **units**, the checkpoint granularity:
 
 * a replication group that the vector engine can batch (when the campaign
-  runs on the ``vector`` backend) is **one unit** — the whole lockstep
-  batch runs or re-runs together, filed under layout
-  ``vector-live:<batch signature>`` (see
-  :func:`repro.experiments.plan.batch_signature`).  The ``vector-live``
-  tag names the live-set coin layout (one coin per live packet per slot);
-  vector units stored under an earlier layout tag are re-run on resume
-  rather than mixed with it;
-* every other spec is individually deterministic, so scalar runs are
-  chunked into units of ``checkpoint_every`` and each run can be skipped
-  or re-run on its own.
+  runs on the ``vector`` backend) is **one unit**, so it launches as one
+  lockstep batch;
+* every other group is chunked into units of ``checkpoint_every`` runs.
+
+Every run is filed under ``(spec_hash, seed, layout)`` with the layout
+the backend declares (:meth:`~repro.exec.backends.ExecutionBackend.result_layout`)
+— the same identity the result cache uses.  A run's result is a function
+of that identity alone on every backend (a vectorized run's coins come
+from its own stream, whatever batch it runs in), so each run is skipped
+or re-run on its own: a half-stored unit re-runs only its missing runs.
 
 After a unit executes, its results are written to the store and its
 membership rows committed in one transaction.  A kill therefore loses at
@@ -37,8 +37,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
-from repro.experiments.plan import RunSpec, SweepPlan, batch_signature
+from repro.exec import VectorBackend, make_backend
+from repro.exec.backends import ExecutionBackend
+from repro.exec.vector_backend import vector_group_key
+from repro.experiments.plan import SweepPlan
 from repro.experiments.spec import ExperimentReport, ExperimentSpec
 from repro.store import METRIC_COLUMNS, ResultsStore
 from repro.telemetry import current as current_telemetry
@@ -85,7 +87,6 @@ class _Unit:
     protocol: str
     indices: tuple[int, ...]
     layout: str
-    vectorized: bool
 
 
 def _utcnow_iso() -> str:
@@ -108,7 +109,7 @@ def default_campaign_id(
 
 
 def _partition_units(
-    plan: SweepPlan, backend_name: str, checkpoint_every: int
+    plan: SweepPlan, backend: ExecutionBackend, checkpoint_every: int
 ) -> tuple[list[_Unit], list[str]]:
     """Cut the plan into checkpoint units; returns (units, spec hashes)."""
     specs = plan.specs
@@ -121,56 +122,24 @@ def _partition_units(
             )
     units: list[_Unit] = []
     for group in plan.groups:
-        group_specs = [specs[index] for index in group.spec_indices]
-        vectorize = (
-            backend_name == "vector" and group_specs[0].vector_support() is None
+        indices = group.spec_indices
+        first = specs[indices[0]]
+        # A group the vector backend batches is one lockstep launch.
+        vectorized = (
+            isinstance(backend, VectorBackend) and vector_group_key(first) is not None
         )
-        if vectorize:
-            signature = batch_signature(group_specs)
-            assert signature is not None  # hashes checked above
+        size = len(indices) if vectorized else checkpoint_every
+        layout = backend.result_layout(first)
+        for start in range(0, len(indices), size):
             units.append(
                 _Unit(
                     group_id=group.group_id,
                     protocol=group.protocol_name,
-                    indices=tuple(group.spec_indices),
-                    layout=f"vector-live:{signature}",
-                    vectorized=True,
+                    indices=indices[start : start + size],
+                    layout=layout,
                 )
             )
-        else:
-            indices = list(group.spec_indices)
-            for start in range(0, len(indices), checkpoint_every):
-                units.append(
-                    _Unit(
-                        group_id=group.group_id,
-                        protocol=group.protocol_name,
-                        indices=tuple(indices[start : start + checkpoint_every]),
-                        layout="scalar",
-                        vectorized=False,
-                    )
-                )
     return units, hashes  # type: ignore[return-value]
-
-
-def _scalar_backend(backend_name: str, workers: int | None) -> ExecutionBackend:
-    if backend_name == "processes":
-        return ProcessPoolBackend(workers=workers)
-    # The vector backend's scalar fallback is serial execution, so campaign
-    # scalar units under --backend vector take exactly that path.
-    return SerialBackend()
-
-
-def _run_vector_unit(specs: list[RunSpec]):
-    from repro.sim.vector import VectorSimulator
-
-    # Only the batch construction is timed here; the engine's run() emits
-    # its own simulate/finalize phase spans, and wrapping it again would
-    # double-count the unit's wall-clock in telemetry summaries.
-    with current_telemetry().span(
-        "build", kind="phase", backend="vector", jobs=len(specs)
-    ):
-        batch = VectorSimulator.from_specs(specs)
-    return batch.run()
 
 
 def _execute(
@@ -194,14 +163,14 @@ def _execute(
 
         checkpoint_every = max(checkpoint_every, workers or _os.cpu_count() or 1)
     tele = current_telemetry()
+    backend = make_backend(backend_name, workers=workers)
     # Partitioning hashes every spec (content-addressed identity), which
     # is real work on large plans — time it as part of the build phase.
     with tele.span(
         "build", kind="phase", backend=backend_name, op="partition-units"
     ):
-        units, hashes = _partition_units(plan, backend_name, checkpoint_every)
+        units, hashes = _partition_units(plan, backend, checkpoint_every)
     specs = plan.specs
-    scalar_backend = _scalar_backend(backend_name, workers)
     executed = 0
     skipped = 0
     total_elapsed = 0.0
@@ -219,20 +188,9 @@ def _execute(
                 for index in unit.indices
                 if not store.has_run(hashes[index], specs[index].seed, unit.layout)
             ]
-        if unit.vectorized and pending:
-            # A vector batch is all-or-nothing: partially stored runs (a
-            # kill between artifact writes) are simply re-produced — the
-            # re-run is bit-identical, so the store converges.
-            pending = list(unit.indices)
         if pending:
-            pending_specs = [specs[index] for index in pending]
-            if unit.vectorized:
-                # _run_vector_unit and the engine emit their own
-                # build/simulate/finalize phase spans.
-                results = _run_vector_unit(pending_specs)
-            else:
-                # The scalar backend emits its own build/simulate spans.
-                results = scalar_backend.run(pending_specs)
+            # The backend emits its own build/simulate/finalize spans.
+            results = backend.run([specs[index] for index in pending])
             with tele.span(
                 "commit",
                 kind="phase",

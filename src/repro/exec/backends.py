@@ -197,15 +197,15 @@ class ExecutionBackend(abc.ABC):
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         """Execute every job and return their results in job order."""
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         """Identity namespace of the result this backend produces for ``job``.
 
+        A stored result is identified by ``(spec_hash, seed, layout)``.
         ``"scalar"`` is the reference layout: serial and process-pool
         executions are bit-identical, so their results are interchangeable
-        under one cache key.  A backend that files no layout for a job
-        (e.g. the vector backend for the jobs it vectorizes) returns
-        ``None``, which tells the result cache the job must never be cached
-        or served from cache.
+        under one key.  The vector backend files the jobs it vectorizes
+        under its own constant layout, since their results are a function
+        of (spec, seed) alone but differ from scalar ones.
         """
         return "scalar"
 
@@ -258,7 +258,7 @@ class DynamicsBackend(ExecutionBackend):
     def run(self, jobs: Sequence[RunJob]) -> list[SimulationResult]:
         return self._inner.run([self._with_dynamics(job) for job in jobs])
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         return self._inner.result_layout(self._with_dynamics(job))
 
     def describe(self) -> dict[str, Any]:

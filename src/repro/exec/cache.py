@@ -18,11 +18,13 @@ Only jobs that expose a stable ``cache_key()`` (notably
 :class:`~repro.experiments.plan.RunSpec`) participate; jobs without one, or
 whose key is ``None``, are always delegated to the inner backend and never
 stored, because there is no safe identity to file them under.  The same
-logic extends to the *result layout*: entries are filed per layout
-(``ExecutionBackend.result_layout``), so a vector-engine result is never
-served to a serial run or vice versa.  Vectorized jobs are not cached at
-all: their results depend on (spec, seed) alone, but no per-job vector
-layout is filed yet.
+logic extends to the *result layout*: entries are filed under
+``(spec_hash, seed, layout)`` with the layout from
+``ExecutionBackend.result_layout``, so a vector-engine result is never
+served to a serial run or vice versa.  Vectorized jobs cache like any
+other: a vectorized result is a function of (spec, seed) alone, whatever
+batch it ran in, so the vector backend's one constant layout
+(:meth:`~repro.exec.vector_backend.VectorBackend.result_layout`) files it.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class ResultCacheBackend(ExecutionBackend):
                         self.store.put_run(*key, result)
         return results  # type: ignore[return-value]
 
-    def result_layout(self, job: RunJob) -> str | None:
+    def result_layout(self, job: RunJob) -> str:
         return self.inner.result_layout(job)
 
     def close(self) -> None:
@@ -168,14 +170,9 @@ class ResultCacheBackend(ExecutionBackend):
         # The store row identifies (spec, seed, result layout): results from
         # the reference "scalar" layout are shared between serial and
         # process-pool runs (they are bit-identical), other layouts are
-        # namespaced by the layout string, and a job with no layout under
-        # the inner backend (layout None — e.g. a vectorized job) is never
-        # cached or served from cache.
-        layout = self.inner.result_layout(job)
-        if layout is None:
-            return None
+        # namespaced by the layout string.
         key = key_method()
         if key is None:
             return None
         seed = getattr(job, "seed", 0)
-        return key, int(seed), layout
+        return key, int(seed), self.inner.result_layout(job)

@@ -20,7 +20,9 @@ Contract differences from the other backends:
   order, from its own stream, so a vectorized result is a function of
   (spec, seed) alone: grouping, batch order and mega-batching change
   wall-clock only, never results.  See ``repro.analysis.equivalence`` for
-  the checking harness.
+  the checking harness.  So every vectorized result has one identity,
+  ``(spec_hash, seed, "vector-live")`` (:meth:`VectorBackend.result_layout`),
+  under which the result cache and campaigns file, serve and resume it.
 
 Only jobs that declare their vectorizability (``vector_support()``, i.e.
 :class:`~repro.experiments.plan.RunSpec`) are eligible; opaque jobs such as
@@ -76,8 +78,8 @@ def _cached_mega_key(job: Any) -> Any | None:
     same ``scheduled_identity`` the engine's ``from_spec_groups``
     validation compares) joins the key.  ``None`` when the job cannot
     vectorize at all, or when it vectorizes but carries a named mega-batch
-    exclusion (``mega_batch_exclusion``) — trace/potential outputs and
-    backlog-coupled adversaries run in their own lockstep batch.
+    exclusion (``mega_batch_exclusion``) — a backlog-coupled adversary
+    runs in its own lockstep batch.
     """
     from repro.sim.vector.support import mega_batch_exclusion, scheduled_identity
 
@@ -96,6 +98,8 @@ def _cached_mega_key(job: Any) -> Any | None:
         components,
         job.max_slots,
         job.stop_when_drained,
+        job.collect_trace,
+        job.collect_potential,
         getattr(job, "dynamics_window", 0),
     )
 
@@ -134,11 +138,9 @@ class VectorBackend(ExecutionBackend):
     fallback:
         Backend used for jobs the vector engine cannot run (defaults to
         :class:`SerialBackend`).
-    mega_batch:
-        When True (the default), compatible replication groups are stacked
-        into one lockstep launch per kernel family; per-group execution
-        (``mega_batch=False``) produces bit-identical results with one
-        kernel launch per group — the benchmark baseline.
+
+    Compatible replication groups are stacked into one lockstep launch per
+    kernel family; results are bit-identical to one launch per group.
 
     The counters ``vectorized_jobs``, ``fallback_jobs``, ``vector_groups``,
     and ``mega_batches`` accumulate across :meth:`run` calls (like the
@@ -149,14 +151,8 @@ class VectorBackend(ExecutionBackend):
 
     name = "vector"
 
-    def __init__(
-        self,
-        fallback: ExecutionBackend | None = None,
-        *,
-        mega_batch: bool = True,
-    ) -> None:
+    def __init__(self, fallback: ExecutionBackend | None = None) -> None:
         self.fallback = fallback or SerialBackend()
-        self.mega_batch = mega_batch
         self.vectorized_jobs = 0
         self.fallback_jobs = 0
         self.vector_groups = 0
@@ -204,9 +200,7 @@ class VectorBackend(ExecutionBackend):
             # launch per kernel family instead of one launch per configuration.
             batches: dict[Any, list[list[int]]] = {}
             for key, indices in groups.items():
-                mega_key = (
-                    self._mega_key(jobs[indices[0]]) if self.mega_batch else None
-                )
+                mega_key = self._mega_key(jobs[indices[0]])
                 batches.setdefault(
                     mega_key if mega_key is not None else key, []
                 ).append(indices)
@@ -223,14 +217,9 @@ class VectorBackend(ExecutionBackend):
             with tele.span(
                 "build", kind="phase", backend=self.name, jobs=len(flat)
             ):
-                if len(index_groups) == 1:
-                    batch = VectorSimulator.from_specs(
-                        [jobs[index] for index in index_groups[0]]
-                    )
-                else:
-                    batch = VectorSimulator.from_spec_groups(
-                        [[jobs[index] for index in indices] for indices in index_groups]
-                    )
+                batch = VectorSimulator.from_spec_groups(
+                    [[jobs[index] for index in indices] for indices in index_groups]
+                )
             for index, result in zip(flat, batch.run()):
                 results[index] = result
             done_batches += 1
@@ -246,16 +235,16 @@ class VectorBackend(ExecutionBackend):
         self.mega_batches += len(batches)
         return results  # type: ignore[return-value]
 
-    def result_layout(self, job: RunJob) -> str | None:
-        """Vectorized jobs are not filed in the result cache (``None``).
+    def result_layout(self, job: RunJob) -> str:
+        """``"vector-live"`` for every job this backend vectorizes.
 
-        A vectorized result is a function of (spec, seed) alone, but the
-        cache has no per-job vector layout yet, and a scalar-layout cache
-        entry must never be served to a vectorized job.  Fallback jobs
-        inherit the fallback backend's layout.
+        A vectorized result is a function of (spec, seed) alone, so one
+        constant layout files it whatever batch it ran in; the name is the
+        live-set coin layout (one coin per live packet per slot).  Fallback
+        jobs inherit the fallback backend's layout.
         """
         if self._group_key(job) is not None:
-            return None
+            return "vector-live"
         return self.fallback.result_layout(job)
 
     _group_key = staticmethod(vector_group_key)
@@ -268,6 +257,5 @@ class VectorBackend(ExecutionBackend):
             "fallback_jobs": self.fallback_jobs,
             "vector_groups": self.vector_groups,
             "mega_batches": self.mega_batches,
-            "mega_batch": self.mega_batch,
             "fallback": self.fallback.describe(),
         }

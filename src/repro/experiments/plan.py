@@ -203,23 +203,6 @@ class SweepGroup:
     seeds: tuple[int, ...]
 
 
-def batch_signature(specs: Sequence["RunSpec"]) -> str | None:
-    """Stable identity of one lockstep vector batch, or ``None``.
-
-    A vectorized result is a function of its own (spec, seed) alone — each
-    replication draws one coin per live packet per slot, in ascending
-    packet-id order, from its own stream — so this batch-level identity is
-    stricter than results need.  Campaigns still file a vector unit's
-    results under layout ``vector-live:<signature>``, the hash of the
-    ordered spec content hashes.  ``None`` when any spec lacks a cache key.
-    """
-    keys = [spec.cache_key() for spec in specs]
-    if not keys or any(key is None for key in keys):
-        return None
-    payload = json.dumps(keys, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 class SweepPlan:
     """An ordered collection of run specs with row-grouping metadata."""
 

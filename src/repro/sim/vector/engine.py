@@ -32,7 +32,10 @@ live packet per slot, in ascending packet-id order, from its own stream
 (:mod:`repro.sim.vector.rng`) — so a replication's result is a function of
 (spec, seed) alone, bit-identical alone, in any batch, and in any
 mega-batch (enforced by tests).  Only the per-slot Python dispatch is
-shared, which is where the speedup lives.
+shared, which is where the speedup lives.  Traces and potential samples
+are materialised per row, so groups that collect them stack like any
+other; only a backlog-coupled adversary, which the loop drives from a
+single segment, keeps a batch to itself.
 
 The engine reproduces the scalar engine's slot semantics exactly (same
 decision order, same channel rules, same metric definitions, same
@@ -568,17 +571,13 @@ class VectorSimulator:
         groups = [group for group, _ in built]
         options = built[0][1]
         first = groups[0]
-        if len(groups) > 1:
-            if options[2] or options[3]:
-                raise ValueError(
-                    "trace and potential outputs are materialized per "
-                    "lockstep batch; such groups cannot mega-batch"
-                )
-            if isinstance(first.arrival_process, BacklogCouplingAdversary):
-                raise ValueError(
-                    "backlog-coupled adversaries read the live backlog each "
-                    "slot; such groups cannot mega-batch"
-                )
+        if len(groups) > 1 and isinstance(
+            first.arrival_process, BacklogCouplingAdversary
+        ):
+            raise ValueError(
+                "backlog-coupled adversaries read the live backlog each "
+                "slot; such groups cannot mega-batch"
+            )
         for group, group_options in built[1:]:
             if group_options != options:
                 raise ValueError(
@@ -1272,15 +1271,20 @@ class VectorSimulator:
         )
         records = []
         next_packet_id = 0
+        bounds = (index, index + 1)
         for s in range(slots):
             count = int(arrivals[s])
             arrival_ids = tuple(range(next_packet_id, next_packet_id + count))
             next_packet_id += count
+            # Event rows come out of np.nonzero in ascending order, so this
+            # row's events are one contiguous slice.
             rows_idx, cols_idx = trace_senders[s]
-            senders = tuple(int(c) for c in cols_idx[rows_idx == index])
+            lo, hi = np.searchsorted(rows_idx, bounds)
+            senders = tuple(cols_idx[lo:hi].tolist())
             if trace_listeners:
                 rows_idx, cols_idx = trace_listeners[s]
-                listeners = tuple(int(c) for c in cols_idx[rows_idx == index])
+                lo, hi = np.searchsorted(rows_idx, bounds)
+                listeners = tuple(cols_idx[lo:hi].tolist())
             else:
                 listeners = ()
             winner_id = int(winner[s])

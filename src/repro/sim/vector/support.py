@@ -18,12 +18,14 @@ injections and jams both read the live backlog
 (:class:`~repro.adversary.adaptive.BacklogCouplingAdversary`) drive their
 decisions from the engine's backlog counter.  Execution traces and
 potential tracking are vectorized *outputs* — per-slot event arrays
-materialized into trace records and potential samples on demand — not
-blockers.  :func:`vector_support` answers "can this spec vectorize?" with
-``None`` (yes) or a human-readable reason (no), and the
+materialized per replication into trace records and potential samples —
+not blockers, and they mega-batch like any other group.
+:func:`vector_support` answers "can this spec vectorize?" with ``None``
+(yes) or a human-readable reason (no), and the
 :class:`~repro.exec.vector_backend.VectorBackend` uses that answer to fall
-back transparently; :func:`mega_batch_exclusion` names the configurations
-that vectorize but must run in their own lockstep batch.
+back transparently; :func:`mega_batch_exclusion` names the one
+configuration that vectorizes but must run in its own lockstep batch (a
+backlog-coupled adversary).
 
 This module deliberately avoids importing numpy, so capability checks stay
 importable (and cheap) even where the vector engine itself is never used.
@@ -219,13 +221,6 @@ def mega_batch_exclusion(spec: Any) -> str | None:
     it just gets its own kernel launch — mirroring the validation in
     :meth:`~repro.sim.vector.engine.VectorSimulator.from_spec_groups`.
     """
-    if getattr(spec, "collect_trace", False) or getattr(
-        spec, "collect_potential", False
-    ):
-        return (
-            "trace and potential outputs are materialized per lockstep "
-            "batch; such groups cannot mega-batch"
-        )
     try:
         config = spec.build_config() if hasattr(spec, "build_config") else spec
     except Exception:  # pragma: no cover - defensive

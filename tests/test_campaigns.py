@@ -17,6 +17,7 @@ from repro.campaigns import (
     start_campaign,
 )
 from repro.campaigns.runner import _partition_units
+from repro.exec import ResultCacheBackend, VectorBackend, make_backend
 from repro.experiments.bench import record_bench
 from repro.scenarios.runner import build_plan
 from repro.scenarios.spec import scenario_from_dict
@@ -63,7 +64,7 @@ def _scenario(definition=MIXED):
 def _unit_count(definition, backend_name, checkpoint_every=2):
     scenario = _scenario(definition)
     plan = build_plan(scenario, "smoke")
-    units, _ = _partition_units(plan, backend_name, checkpoint_every)
+    units, _ = _partition_units(plan, make_backend(backend_name), checkpoint_every)
     return len(units)
 
 
@@ -188,7 +189,7 @@ class TestRunAndResume:
                 )
                 assert artifacts == expected_artifacts
 
-    def test_vector_campaign_stores_batch_layouts(self, tmp_path):
+    def test_vector_campaign_stores_one_layout(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             start_campaign(
                 store,
@@ -197,9 +198,62 @@ class TestRunAndResume:
                 backend_name="vector",
                 campaign_id="v",
             )
-            layouts = set(store.stats()["runs_by_layout"])
-            assert all(layout.startswith("vector-live:") for layout in layouts)
-            assert len(layouts) == 2  # one batch signature per protocol group
+            # One identity per (spec, seed), whatever group it ran in.
+            assert store.stats()["runs_by_layout"] == {"vector-live": 4}
+            assert _unit_count(VECTOR_ONLY, "vector") == 2  # one per group
+
+    def test_vector_campaign_runs_serve_a_cached_rerun(self, tmp_path):
+        with ResultsStore(tmp_path / "store") as store:
+            start_campaign(
+                store,
+                _scenario(VECTOR_ONLY),
+                scale="smoke",
+                backend_name="vector",
+                campaign_id="v",
+            )
+            plan = build_plan(_scenario(VECTOR_ONLY), "smoke")
+            with ResultCacheBackend(store.root, VectorBackend()) as cached:
+                results = plan.run(cached).results
+                assert (cached.hits, cached.misses) == (len(plan), 0)
+                assert cached.inner.vectorized_jobs == 0
+            assert [r.seed for r in results] == [spec.seed for spec in plan.specs]
+
+    def test_half_stored_vector_unit_reruns_only_its_missing_run(self, tmp_path):
+        """A kill between two artifact writes of one vector unit leaves
+        part of it stored; resume re-runs only the missing run, and the
+        store converges to the uninterrupted one."""
+        with ResultsStore(tmp_path / "reference") as reference:
+            start_campaign(
+                reference,
+                _scenario(VECTOR_ONLY),
+                scale="smoke",
+                backend_name="vector",
+                campaign_id="v",
+            )
+            expected = reference.fingerprint()
+        with ResultsStore(tmp_path / "store") as store:
+            start_campaign(
+                store,
+                _scenario(VECTOR_ONLY),
+                scale="smoke",
+                backend_name="vector",
+                campaign_id="v",
+            )
+            (first, *_rest) = store.campaign_run_rows("v")
+            with store._connection:
+                store._connection.execute(
+                    "DELETE FROM runs WHERE spec_hash = ? AND seed = ?",
+                    (first["spec_hash"], first["seed"]),
+                )
+                store._connection.execute(
+                    "UPDATE campaigns SET status = 'running' WHERE campaign_id = 'v'"
+                )
+            assert store.fingerprint() != expected
+            outcome = resume_campaign(store, "v")
+            assert outcome.status == "complete"
+            assert outcome.executed_runs == 1
+            assert outcome.skipped_runs == outcome.total_runs - 1
+            assert store.fingerprint() == expected
 
     def test_processes_campaign_fingerprints_like_serial(self, tmp_path):
         """Pool-returned results pickle through an extra round trip, which
@@ -236,12 +290,12 @@ class TestRunAndResume:
                 campaign_id="v",
             )
             by_layout = store.stats()["runs_by_layout"]
-            assert by_layout["scalar"] == 4
-            assert sum(v for k, v in by_layout.items() if k.startswith("vector-live:")) == 4
+            assert by_layout == {"scalar": 4, "vector-live": 4}
 
     def test_resume_reruns_vector_units_stored_under_the_old_layout_tag(self, tmp_path):
-        """A campaign begun under the dense coin layout (``vector:`` units)
-        re-runs those units on resume instead of mixing layouts."""
+        """A campaign begun under the per-batch identity
+        (``vector-live:<batch signature>`` units) re-runs those units on
+        resume instead of mixing layouts."""
         with ResultsStore(tmp_path / "store") as store:
             with pytest.raises(CampaignInterrupted):
                 start_campaign(
@@ -252,22 +306,20 @@ class TestRunAndResume:
                     campaign_id="v",
                     fail_after_units=1,
                 )
-            # Plant the first unit as the old layout would have stored it.
+            # Plant the first unit as the old identity would have stored it.
             with store._connection:
                 for table in ("runs", "campaign_runs", "campaign_units"):
                     store._connection.execute(
-                        f"UPDATE {table} SET backend_layout = "
-                        "replace(backend_layout, 'vector-live:', 'vector:')"
+                        f"UPDATE {table} SET backend_layout = 'vector-live:0c1d'"
                     )
             (old,) = store.stats()["runs_by_layout"]
-            assert old.startswith("vector:")
+            assert old.startswith("vector-live:")
             outcome = resume_campaign(store, "v")
             assert outcome.status == "complete"
             assert outcome.executed_runs == outcome.total_runs == 4
             assert outcome.skipped_runs == 0
             layouts = {row["backend_layout"] for row in store.campaign_run_rows("v")}
-            assert all(layout.startswith("vector-live:") for layout in layouts)
-            assert len(layouts) == 2
+            assert layouts == {"vector-live"}
 
     def test_vector_campaign_with_reactive_scenario_cuts_scalar_units(self, tmp_path):
         """A reactive adversary keeps every group on the scalar engine, so a

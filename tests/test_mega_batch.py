@@ -1,24 +1,31 @@
 """Tests for cross-config mega-batching.
 
 The headline contract: stacking compatible replication groups into one
-ragged lockstep batch (``VectorSimulator.from_spec_groups``, used by
-``VectorBackend(mega_batch=True)``) is a pure wall-clock optimisation —
+ragged lockstep batch (``VectorSimulator.from_spec_groups``, which
+``VectorBackend`` always uses) is a pure wall-clock optimisation —
 results are **bit-identical** to running each group through its own
-per-group batch, so a mega-batched sweep produces byte-for-byte the
-artifacts a per-group campaign run produces.
+per-group batch, so every vectorized run is filed under one
+(spec, seed) identity whatever it was stacked with.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 from repro.adversary.arrivals import BatchArrivals, PoissonArrivals
 from repro.adversary.composite import CompositeAdversary
-from repro.adversary.jamming import BernoulliJamming, NoJamming, PeriodicJamming
+from repro.adversary.jamming import (
+    BernoulliJamming,
+    NoJamming,
+    PeriodicJamming,
+    ReactiveSuccessJammer,
+)
 from repro.core.low_sensing import LowSensingBackoff
 from repro.core.parameters import LowSensingParameters
 from repro.exec import SerialBackend, VectorBackend
-from repro.experiments.plan import RunSpec, SweepPlan, batch_signature, factory
+from repro.experiments.plan import RunSpec, SweepPlan, factory
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.mw_full_sensing import FullSensingMultiplicativeWeights
 from repro.protocols.polynomial_backoff import PolynomialBackoff
@@ -177,6 +184,26 @@ class TestBitIdentityWithPerGroupExecution:
         plan.run(backend)
         assert backend.mega_batches == 2
 
+    def test_trace_and_potential_groups_stack(self):
+        # Traces and potential samples are materialised per row, so the
+        # whole pickled result (trace and tracker included) matches a solo
+        # per-group launch.
+        spec_groups = [
+            group(
+                BinaryExponentialBackoff(initial_window=w),
+                batch_adversary(n, factory(ReactiveSuccessJammer, budget)),
+                [1, 2],
+                max_slots=3_000,
+                collect_trace=True,
+                collect_potential=True,
+            )
+            for w, n, budget in [(2.0, 10, 4), (4.0, 6, 2), (3.0, 14, 1)]
+        ]
+        mega = VectorSimulator.from_spec_groups(spec_groups).run()
+        solo = [r for specs in spec_groups for r in VectorSimulator.from_specs(specs).run()]
+        assert all(result.trace is not None for result in mega)
+        assert [pickle.dumps(r) for r in mega] == [pickle.dumps(r) for r in solo]
+
     def test_capacity_growth_stays_per_group(self):
         # One group's Poisson overflow widens the shared live set; the
         # small group alongside must be unaffected.
@@ -250,7 +277,7 @@ class TestBackendMegaBatching:
         assert backend.mega_batches == 1
         assert backend.vectorized_jobs == 16
 
-    def test_mega_batch_off_is_one_launch_per_group(self):
+    def test_mega_batching_has_no_off_switch(self):
         plan = SweepPlan()
         for i in range(4):
             plan.add_group(
@@ -259,10 +286,12 @@ class TestBackendMegaBatching:
                 [1, 2],
                 columns={"i": i},
             )
-        backend = VectorBackend(mega_batch=False)
+        with pytest.raises(TypeError):
+            VectorBackend(mega_batch=False)
+        backend = VectorBackend()
         plan.run(backend)
         assert backend.vector_groups == 4
-        assert backend.mega_batches == 4
+        assert backend.mega_batches == 1
 
     def test_incompatible_families_split_launches(self):
         plan = SweepPlan()
@@ -278,7 +307,7 @@ class TestBackendMegaBatching:
         assert backend.vector_groups == 3
         assert backend.mega_batches == 3
 
-    def test_backend_results_identical_with_and_without_mega(self):
+    def test_backend_results_identical_to_per_group_launches(self):
         plan = SweepPlan()
         for i in range(5):
             plan.add_group(
@@ -287,12 +316,21 @@ class TestBackendMegaBatching:
                 [1, 2],
                 columns={"i": i},
             )
-        mega = plan.run(VectorBackend(mega_batch=True)).results
-        per_group = plan.run(VectorBackend(mega_batch=False)).results
-        for a, b in zip(mega, per_group):
+        backend = VectorBackend()
+        mega = plan.run(backend).results
+        assert backend.mega_batches == 1
+        specs = plan.specs
+        per_group = [
+            result
+            for g in plan.groups
+            for result in VectorSimulator.from_specs(
+                [specs[index] for index in g.spec_indices]
+            ).run()
+        ]
+        for a, b in zip(mega, per_group, strict=True):
             assert identical(a, b)
 
-    def test_mixed_with_mega_exclusion_keeps_job_order(self):
+    def test_mixed_launches_keep_job_order(self):
         plan = SweepPlan()
         plan.add_group(BinaryExponentialBackoff(), batch_adversary(10), [1, 2])
         plan.add_group(
@@ -307,39 +345,53 @@ class TestBackendMegaBatching:
         backend = VectorBackend()
         results = plan.run(backend).results
         assert [r.seed for r in results] == [1, 2, 3, 4]
-        # The two plain BEB groups stack; the trace-collecting group is
-        # mega-excluded and gets its own launch.
+        # The two plain BEB groups stack; the trace-collecting group's
+        # engine options differ, so it gets its own launch.
         assert backend.mega_batches == 2
         assert backend.fallback_jobs == 0
         assert results[3].trace is not None
+
+    def test_trace_groups_stack_with_each_other(self):
+        plan = SweepPlan()
+        for n in (6, 10, 14):
+            plan.add_group(
+                BinaryExponentialBackoff(),
+                batch_adversary(n),
+                [1, 2],
+                columns={"n": n},
+                collect_trace=True,
+                collect_potential=True,
+            )
+        backend = VectorBackend()
+        results = plan.run(backend).results
+        assert backend.vector_groups == 3
+        assert backend.mega_batches == 1
+        assert all(r.trace is not None and r.potential is not None for r in results)
 
     def test_describe_reports_launch_counters(self):
         backend = VectorBackend()
         description = backend.describe()
         assert description["mega_batches"] == 0
-        assert description["mega_batch"] is True
+        assert description["vector_groups"] == 0
+        assert "mega_batch" not in description
 
 
 class TestStorageIdentityStability:
-    def test_batch_signature_is_per_group_not_per_mega_batch(self):
-        """Campaign units are per-group lockstep batches; mega-batching a
-        sweep must neither change the per-group signatures nor the results
-        filed under them."""
+    def test_one_layout_whatever_the_batch(self):
+        """Every vectorized run is filed under one constant layout, and the
+        result filed under it is the same whether the run was stacked into
+        a mega-batch or launched with its own group."""
         groups = [
             group(BinaryExponentialBackoff(initial_window=2.0 + i), batch_adversary(10), [1, 2])
             for i in range(3)
         ]
-        signatures = [batch_signature(specs) for specs in groups]
-        assert len(set(signatures)) == 3
+        backend = VectorBackend()
+        layouts = {backend.result_layout(spec) for specs in groups for spec in specs}
+        assert layouts == {"vector-live"}
         mega = VectorSimulator.from_spec_groups(groups).run()
-        # The results a campaign would store under each signature are the
-        # per-group batch outputs — which the mega run reproduces exactly.
         offset = 0
         for specs in groups:
             solo = VectorSimulator.from_specs(specs).run()
             for expected in solo:
-                assert identical(mega[offset], expected)
+                assert pickle.dumps(mega[offset]) == pickle.dumps(expected)
                 offset += 1
-        # And the signatures are a function of the specs alone, so they are
-        # unchanged by how the backend chose to batch.
-        assert signatures == [batch_signature(specs) for specs in groups]

@@ -13,6 +13,8 @@ unregistered remainder.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.adversary.adaptive import BacklogCouplingAdversary
@@ -347,8 +349,9 @@ class TestPlanIntegration:
         summary = plan.vector_summary()
         assert summary["vectorizable_specs"] == 4
         assert summary["fallback_groups"] == {}
+        # Trace groups mega-batch; only the backlog coupling is excluded.
         exclusions = summary["mega_exclusions"]
-        assert "mega-batch" in exclusions[0]
+        assert list(exclusions) == [1]
         assert "backlog" in exclusions[1]
 
 
@@ -370,8 +373,8 @@ class TestRegistration:
 
 class TestCacheLayoutIsolation:
     """A shared --cache-dir must never serve one engine's results to the
-    other: the layouts are only statistically equivalent, and a vectorized
-    job's result additionally depends on the batch it is grouped into."""
+    other (the layouts are only statistically equivalent), and serves each
+    engine its own results by (spec, seed)."""
 
     def test_serial_cache_entry_not_served_to_vector_run(self, tmp_path):
         job = spec(BinaryExponentialBackoff(), 7)
@@ -394,14 +397,42 @@ class TestCacheLayoutIsolation:
             == serial_result.collector.backlog_series
         )
 
-    def test_vectorized_jobs_are_never_cached(self, tmp_path):
+    def test_vectorized_jobs_are_cached(self, tmp_path):
         job = spec(BinaryExponentialBackoff(), 7)
         vector_cached = make_backend("vector", cache_dir=str(tmp_path))
         vector_cached.run([job])
         vector_cached.run([job])
-        assert vector_cached.hits == 0
-        assert vector_cached.misses == 2
-        assert not list(tmp_path.glob("*.pkl"))
+        assert vector_cached.hits == 1
+        assert vector_cached.misses == 1
+        assert set(vector_cached.store.stats()["runs_by_layout"]) == {"vector-live"}
+
+    def test_cached_vector_results_are_the_uncached_bytes(self, tmp_path):
+        """Served results are byte-identical to an uncached run of the same
+        jobs, even though the cold run stacked them into different batches
+        than the reference run.  Both sides go through one pickle round
+        trip, as the store does, so pickle's identity memo cannot differ."""
+
+        def canonical(result):
+            return pickle.dumps(pickle.loads(pickle.dumps(result)))
+
+        jobs = [
+            spec(protocol, seed, adversary=batch_adversary(n))
+            for protocol, n in (
+                (BinaryExponentialBackoff(), 10),
+                (BinaryExponentialBackoff(initial_window=4.0), 14),
+                (LowSensingBackoff(), 12),
+            )
+            for seed in (3, 8)
+        ]
+        reference = [canonical(r) for r in VectorBackend().run(jobs)]
+        cold = make_backend("vector", cache_dir=str(tmp_path))
+        cold.run(jobs[::2])  # a partial, differently grouped first sweep
+        cold.run(jobs)
+        warm = make_backend("vector", cache_dir=str(tmp_path))
+        served = warm.run(jobs)
+        assert warm.hits == len(jobs) and warm.misses == 0
+        assert warm.inner.vectorized_jobs == 0
+        assert [canonical(r) for r in served] == reference
 
     def test_fallback_jobs_share_the_scalar_cache(self, tmp_path):
         replayed = factory(
@@ -427,8 +458,12 @@ class TestCacheLayoutIsolation:
             factory(TraceArrivals, (5, 0, 0, 5)),
         )
         fallback_spec = spec(BinaryExponentialBackoff(), 1, adversary=replayed)
-        assert backend.result_layout(spec(BinaryExponentialBackoff(), 1)) is None
-        # Sensing protocols are vector-layout now too.
-        assert backend.result_layout(spec(LowSensingBackoff(), 1)) is None
+        assert backend.result_layout(spec(BinaryExponentialBackoff(), 1)) == "vector-live"
+        # Sensing protocols and trace-collecting specs share the one layout.
+        assert backend.result_layout(spec(LowSensingBackoff(), 1)) == "vector-live"
+        assert (
+            backend.result_layout(spec(LowSensingBackoff(), 2, collect_trace=True))
+            == "vector-live"
+        )
         assert backend.result_layout(fallback_spec) == "scalar"
         assert SerialBackend().result_layout(fallback_spec) == "scalar"

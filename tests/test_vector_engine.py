@@ -323,24 +323,25 @@ class TestValidationAndSupport:
         with pytest.raises(ValueError, match="one configuration"):
             VectorSimulator.from_specs(mixed)
 
-    def test_trace_and_potential_vectorize_but_exclude_mega_batching(self):
+    def test_trace_and_potential_vectorize_and_mega_batch(self):
         from repro.experiments.plan import RunSpec, factory
         from repro.sim.vector.support import mega_batch_exclusion
 
         adversary = factory(CompositeAdversary, factory(BatchArrivals, 5))
+        other = factory(CompositeAdversary, factory(BatchArrivals, 8))
         ok = RunSpec(protocol=ALWAYS_SEND, adversary=adversary, seed=1)
         assert ok.vector_support() is None
         assert mega_batch_exclusion(ok) is None
-        traced = RunSpec(
-            protocol=ALWAYS_SEND, adversary=adversary, seed=1, collect_trace=True
-        )
-        assert traced.vector_support() is None
-        assert "mega-batch" in mega_batch_exclusion(traced)
-        tracked = RunSpec(
-            protocol=ALWAYS_SEND, adversary=adversary, seed=1, collect_potential=True
-        )
-        assert tracked.vector_support() is None
-        assert "mega-batch" in mega_batch_exclusion(tracked)
+        for option in ("collect_trace", "collect_potential"):
+            specs = [
+                RunSpec(protocol=ALWAYS_SEND, adversary=a, seed=1, **{option: True})
+                for a in (adversary, other)
+            ]
+            assert specs[0].vector_support() is None
+            assert mega_batch_exclusion(specs[0]) is None
+            mega = VectorSimulator.from_spec_groups([[s] for s in specs])
+            assert mega.num_groups == 2
+            assert len(mega.run()) == 2
 
 
 class TestStatisticalAgreementSpotChecks:

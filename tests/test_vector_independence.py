@@ -70,11 +70,11 @@ def reactive_targeted(seeds, budget=6, target=3, n=12):
     )
 
 
-def trace_potential(seeds):
+def trace_potential(seeds, budget=4, n=10):
     return specs(
         BinaryExponentialBackoff(),
-        factory(BatchArrivals, 10),
-        factory(ReactiveSuccessJammer, 4),
+        factory(BatchArrivals, n),
+        factory(ReactiveSuccessJammer, budget),
         seeds,
         max_slots=4000,
         collect_trace=True,
@@ -83,7 +83,7 @@ def trace_potential(seeds):
     )
 
 
-#: (case, mega-batch partner group or None when the case cannot mega-batch).
+#: (case, mega-batch partner group).
 CASES = {
     "adversarial-queueing": (queueing, lambda seeds: queueing(seeds, rate=0.1)),
     "sensing-batch": (sensing_batch, lambda seeds: sensing_batch(seeds, w_min=64.0, n=25)),
@@ -91,8 +91,10 @@ CASES = {
         reactive_targeted,
         lambda seeds: reactive_targeted(seeds, budget=4, target=0, n=8),
     ),
-    # Trace and potential groups never mega-batch (named exclusion).
-    "trace-potential": (trace_potential, None),
+    "trace-potential": (
+        trace_potential,
+        lambda seeds: trace_potential(seeds, budget=2, n=6),
+    ),
 }
 
 SEED = 17
@@ -123,12 +125,11 @@ def test_batch_composition_and_order_do_not_matter(case):
     assert payload(first[0]) == reference
     last = VectorSimulator.from_specs(build(OTHERS[::-1] + [SEED])).run()
     assert payload(last[-1]) == reference
-    if partner is not None:
-        mega = VectorSimulator.from_spec_groups(
-            [partner(OTHERS), build([OTHERS[0], SEED])]
-        )
-        assert mega.num_groups == 2
-        assert payload(mega.run()[-1]) == reference
+    mega = VectorSimulator.from_spec_groups(
+        [partner(OTHERS), build([OTHERS[0], SEED])]
+    )
+    assert mega.num_groups == 2
+    assert payload(mega.run()[-1]) == reference
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
