@@ -3,9 +3,8 @@
 Runs the same vectorizable E1 batch-arrival workload as
 ``bench_telemetry_overhead.py`` twice — once bare (NULL session) and once
 with everything ``repro.observe`` adds on top of telemetry active at the
-same time: a :class:`RegistrySink` folding every event into live metrics,
-a JSONL sink, and a :class:`ResourceSampler` polling ``/proc`` on a tight
-interval.  The enabled/disabled wall-clock ratio lands in
+same time: a JSONL sink and a :class:`ResourceSampler` polling ``/proc``
+on a tight interval.  The enabled/disabled wall-clock ratio lands in
 ``benchmarks/results/BENCH_observe.json``.
 
 The aggregation layer inherits telemetry's contract: it only ever *reads*
@@ -30,7 +29,7 @@ from repro.adversary.composite import CompositeAdversary
 from repro.exec import VectorBackend
 from repro.experiments.bench import record_bench
 from repro.experiments.plan import SweepPlan, factory
-from repro.observe import RegistrySink, ResourceSampler
+from repro.observe import ResourceSampler
 from repro.protocols.binary_exponential import BinaryExponentialBackoff
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.polynomial_backoff import PolynomialBackoff
@@ -92,7 +91,7 @@ def _time_observed(plan: SweepPlan, jsonl_path) -> tuple[float, VectorBackend]:
     best = float("inf")
     for _ in range(ROUNDS):
         backend = VectorBackend()
-        session = TelemetrySession([RegistrySink(), JsonlSink(jsonl_path)])
+        session = TelemetrySession([JsonlSink(jsonl_path)])
         started = time.perf_counter()
         with activated(session):
             with ResourceSampler(session, interval=SAMPLE_INTERVAL):

@@ -1580,7 +1580,6 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
 def _command_telemetry(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from repro.observe import render_worker_table, worker_utilization
     from repro.telemetry import (
         filter_events,
         read_events,
@@ -1598,23 +1597,17 @@ def _command_telemetry(
     if not events:
         parser.error(f"telemetry file {args.path!r} contains no parseable events")
     if args.run or args.last:
-        events = filter_events(events, runs=args.run, last=args.last)
+        try:
+            events = filter_events(events, runs=args.run, last=args.last)
+        except ValueError as exc:
+            parser.error(str(exc))
         if not events:
             parser.error(
                 f"no events in {args.path!r} match the requested session(s); "
                 "run ids are listed in the unfiltered summary header"
             )
     summary = summarize_events(events)
-    utilization = worker_utilization(events)
-    if args.json:
-        if utilization is not None:
-            summary["workers"] = utilization
-        print(json.dumps(summary, indent=2))
-        return 0
-    print(render_summary(summary))
-    if utilization is not None:
-        print()
-        print(render_worker_table(utilization))
+    print(json.dumps(summary, indent=2) if args.json else render_summary(summary))
     return 0
 
 
@@ -1941,29 +1934,29 @@ def _command_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _command_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.report_command == "metrics":
         from repro.observe import fold_events, to_json, to_prometheus
-        from repro.telemetry import read_events
+        from repro.telemetry import iter_events
 
         path = pathlib.Path(args.telemetry)
         if not path.is_file():
             parser.error(f"no telemetry file at {args.telemetry!r}")
-        registry = fold_events(read_events(path))
+        fold = fold_events(iter_events(path))
         rendered = (
-            to_prometheus(registry)
+            to_prometheus(fold)
             if args.export_format == "prometheus"
-            else to_json(registry) + "\n"
+            else to_json(fold) + "\n"
         )
         return _write_or_print(rendered, args.out, parser)
 
     # report html
     from repro.observe import render_html_report
-    from repro.telemetry import read_events
+    from repro.telemetry import iter_events
 
     events = None
     if args.telemetry:
         path = pathlib.Path(args.telemetry)
         if not path.is_file():
             parser.error(f"no telemetry file at {args.telemetry!r}")
-        events = read_events(path)
+        events = iter_events(path)
     store_path = pathlib.Path(args.store)
     open_store = args.campaign is not None or store_path.is_dir()
     if not open_store and events is None:

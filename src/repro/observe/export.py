@@ -1,36 +1,132 @@
-"""Zero-dependency exporters: Prometheus text format and JSON.
+"""Zero-dependency exporters of a fold: Prometheus text format and JSON.
 
-``to_prometheus`` renders a registry in the Prometheus text exposition
-format (version 0.0.4) — the seam the future FastAPI service's
-``/metrics`` endpoint returns verbatim.  Conformance points the tests
-pin down:
+``to_prometheus`` renders a :class:`~repro.observe.registry.TelemetryFold`
+in the Prometheus text exposition format (version 0.0.4), the document
+``report metrics`` prints.  Conformance points the tests pin down:
 
-* every metric gets exactly one ``# HELP`` and one ``# TYPE`` line;
-* metric names match ``[a-zA-Z_:][a-zA-Z0-9_:]*`` (enforced at metric
-  creation, re-checked here);
+* every metric family gets exactly one ``# HELP`` and one ``# TYPE`` line;
+* metric names match ``[a-zA-Z_:][a-zA-Z0-9_:]*``;
 * label values escape backslash, double-quote and newline per the spec;
-* histograms export as the ``summary`` exposition type — quantile series
-  (``{quantile="0.5"}`` …) plus ``_sum``/``_count`` — because the
-  registry keeps exact observations rather than fixed buckets.
+* span durations and session lifetimes export as the ``summary``
+  exposition type — quantile series (``{quantile="0.5"}`` …) plus
+  ``_sum``/``_count`` — because the fold keeps exact observations rather
+  than fixed buckets.
 
-``to_json`` is the same content as a structured document (one entry per
-metric with type, help, and labelled samples), for dashboards and tests
-that would rather not parse the text format.
+The families, one per fold field:
+
+* ``repro_span_seconds`` — span durations by ``name``/``kind``/``backend``;
+* ``repro_counter_total`` — counter totals by ``name``/``backend``;
+* ``repro_events_total`` — point events by ``name``/``reason`` (resource
+  samples excepted: they feed the gauges below);
+* ``repro_sessions_total`` and ``repro_session_seconds`` — sessions
+  opened/closed and their lifetimes;
+* ``repro_resource_{rss_bytes,cpu_seconds,open_fds}`` — last sampled
+  value per ``pid``/``source``, and ``repro_resource_rss_peak_bytes``, the
+  RSS high-water mark.
+
+The first four families always appear; the others appear when the
+stream holds their samples.  ``to_json`` is the same content as a
+structured document (one entry per family with type, help, and labelled
+samples), for dashboards and tests that would rather not parse the text
+format.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
-from repro.observe.registry import (
-    HISTOGRAM_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    summarize_distribution,
-)
+from repro.observe.registry import Distribution, TelemetryFold
+
+#: Prometheus metric-name grammar.
+METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+
+#: Quantiles every distribution exports, in export order.
+HISTOGRAM_QUANTILES = (0.5, 0.95, 0.99)
+
+#: Resource attribute → gauge family name and help text.
+_RESOURCE_GAUGES = {
+    "rss_bytes": ("repro_resource_rss_bytes", "Resident set size"),
+    "cpu_seconds": ("repro_resource_cpu_seconds", "Cumulative process CPU time"),
+    "fds": ("repro_resource_open_fds", "Open file descriptors"),
+}
+
+Samples = list[tuple[dict[str, str], "float | Distribution"]]
+
+
+def _families(fold: TelemetryFold) -> list[tuple[str, str, str, Samples]]:
+    """``(name, type, help, samples)`` per metric family, sorted by name."""
+
+    def by_process(values: dict[tuple[str, str], float]) -> Samples:
+        return [({"pid": pid, "source": source}, value) for (pid, source), value in values.items()]
+
+    families: list[tuple[str, str, str, Samples]] = [
+        (
+            "repro_span_seconds",
+            "histogram",
+            "Telemetry span durations by name/kind/backend",
+            [
+                ({"name": name, "kind": kind, "backend": backend}, durations)
+                for (name, kind, backend), durations in fold.spans.items()
+            ],
+        ),
+        (
+            "repro_counter_total",
+            "counter",
+            "Telemetry counter totals by name/backend",
+            [
+                ({"name": name, "backend": backend}, value)
+                for (name, backend), value in fold.counters.items()
+            ],
+        ),
+        (
+            "repro_events_total",
+            "counter",
+            "Telemetry point events by name/reason",
+            [
+                ({"name": name, "reason": "-" if reason is None else reason}, float(count))
+                for (name, reason), count in fold.events.items()
+                if name != "resource_sample"
+            ],
+        ),
+        (
+            "repro_sessions_total",
+            "counter",
+            "Telemetry sessions opened/closed",
+            [({"phase": phase}, float(count)) for phase, count in fold.sessions.items()],
+        ),
+    ]
+    if fold.session_seconds is not None:
+        families.append(
+            (
+                "repro_session_seconds",
+                "histogram",
+                "Telemetry session lifetimes",
+                [({}, fold.session_seconds)],
+            )
+        )
+    for attr, (name, help_text) in _RESOURCE_GAUGES.items():
+        if fold.resources[attr]:
+            families.append((name, "gauge", help_text, by_process(fold.resources[attr])))
+    if fold.rss_peak:
+        families.append(
+            (
+                "repro_resource_rss_peak_bytes",
+                "gauge",
+                "High-water resident set size",
+                by_process(fold.rss_peak),
+            )
+        )
+    return sorted(families, key=lambda family: family[0])
+
+
+def _stats(durations: Distribution) -> dict[str, float]:
+    """The exported shape of one distribution sample."""
+    stats = {"count": float(durations.count), "sum": durations.total}
+    for q in HISTOGRAM_QUANTILES:
+        stats[f"p{int(q * 100)}"] = durations.quantile(q)
+    return stats
 
 
 def escape_label_value(value: str) -> str:
@@ -66,64 +162,47 @@ def _render_value(value: float) -> str:
     return repr(float(value))
 
 
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render the registry as a text-format exposition document."""
+def to_prometheus(fold: TelemetryFold) -> str:
+    """Render the fold as a text-format exposition document."""
     lines: list[str] = []
-    for metric in registry.metrics():
-        if isinstance(metric, Histogram):
-            exposition_type = "summary"
-        elif isinstance(metric, Counter):
-            exposition_type = "counter"
-        elif isinstance(metric, Gauge):
-            exposition_type = "gauge"
-        else:
-            exposition_type = "untyped"
-        lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
-        lines.append(f"# TYPE {metric.name} {exposition_type}")
-        for labels, value in metric.samples():
-            if isinstance(metric, Histogram):
-                stats = summarize_distribution(value)
+    for name, metric_type, help_text, samples in _families(fold):
+        exposition_type = "summary" if metric_type == "histogram" else metric_type
+        lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {exposition_type}")
+        for labels, value in samples:
+            if isinstance(value, Distribution):
+                stats = _stats(value)
                 for q in HISTOGRAM_QUANTILES:
                     rendered = _render_labels(labels, {"quantile": str(q)})
                     lines.append(
-                        f"{metric.name}{rendered} "
-                        f"{_render_value(stats[f'p{int(q * 100)}'])}"
+                        f"{name}{rendered} {_render_value(stats[f'p{int(q * 100)}'])}"
                     )
-                lines.append(
-                    f"{metric.name}_sum{_render_labels(labels)} "
-                    f"{_render_value(stats['sum'])}"
-                )
-                lines.append(
-                    f"{metric.name}_count{_render_labels(labels)} "
-                    f"{_render_value(stats['count'])}"
-                )
+                lines.append(f"{name}_sum{_render_labels(labels)} {_render_value(stats['sum'])}")
+                lines.append(f"{name}_count{_render_labels(labels)} {_render_value(stats['count'])}")
             else:
-                lines.append(
-                    f"{metric.name}{_render_labels(labels)} {_render_value(value)}"
-                )
+                lines.append(f"{name}{_render_labels(labels)} {_render_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def registry_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
-    """The registry as a JSON-friendly document (one entry per metric)."""
-    metrics: list[dict[str, Any]] = []
-    for metric in registry.metrics():
-        samples: list[dict[str, Any]] = []
-        for labels, value in metric.samples():
-            if isinstance(metric, Histogram):
-                samples.append({"labels": labels, **summarize_distribution(value)})
-            else:
-                samples.append({"labels": labels, "value": float(value)})
-        metrics.append(
-            {
-                "name": metric.name,
-                "type": metric.metric_type,
-                "help": metric.help,
-                "samples": samples,
-            }
-        )
-    return {"metrics": metrics}
-
-
-def to_json(registry: MetricsRegistry, *, indent: int | None = 2) -> str:
-    return json.dumps(registry_to_dict(registry), indent=indent, sort_keys=False)
+def to_json(fold: TelemetryFold, *, indent: int | None = 2) -> str:
+    """The fold as a JSON document (one entry per metric family)."""
+    metrics = [
+        {
+            "name": name,
+            "type": metric_type,
+            "help": help_text,
+            "samples": [
+                {
+                    "labels": dict(sorted(labels.items())),
+                    **(
+                        _stats(value)
+                        if isinstance(value, Distribution)
+                        else {"value": float(value)}
+                    ),
+                }
+                for labels, value in samples
+            ],
+        }
+        for name, metric_type, help_text, samples in _families(fold)
+    ]
+    return json.dumps({"metrics": metrics}, indent=indent)

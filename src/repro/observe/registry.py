@@ -1,310 +1,228 @@
-"""The typed metrics registry: counters, gauges, and histograms.
+"""The one fold of a telemetry event stream.
 
-:mod:`repro.telemetry` records *what happened* as a flat event stream;
-this module folds that stream (a JSONL file, a live session, or a
-:class:`~repro.telemetry.sinks.MemorySink`) into *named metrics* with
-types and labels — the shape scrape endpoints and dashboards consume.
-The registry is deliberately dumb storage: folding rules live in
-:func:`fold_events`, rendering lives in :mod:`repro.observe.export`.
+:mod:`repro.telemetry` records *what happened* as a flat event stream.
+:func:`fold_events` reads that stream once — a list, a JSONL file's
+:func:`~repro.telemetry.summarize.iter_events`, or any one-shot
+iterator — into a frozen :class:`TelemetryFold`.  Every observability
+view renders that model and nothing else:
 
-Metric model
-------------
+* ``telemetry summarize`` text and ``--json``
+  (:func:`repro.telemetry.summarize.summarize_fold`);
+* the worker table (:func:`repro.observe.workers.worker_utilization`);
+* ``report metrics`` Prometheus and JSON (:mod:`repro.observe.export`);
+* the ``report html`` telemetry sections (:mod:`repro.observe.report`).
 
-A metric has a name (``[a-zA-Z_:][a-zA-Z0-9_:]*``, enforced at creation),
-a help string, a type, and one *sample* per distinct label set:
+The fold rules, one per event kind:
 
-``Counter``
-    Monotonically accumulated total (``inc``).
-``Gauge``
-    Last-written value (``set``) — resource samples, live queue depths.
-``Histogram``
-    A distribution of observations (``observe``); exports count, sum,
-    and p50/p95/p99 quantiles (computed by
-    :func:`repro.analysis.statistics.quantile`, the same definition the
-    telemetry summarizer's p50/p95 span columns use).
+* ``span`` → durations keyed by ``(name, kind, backend)``; a span with a
+  ``worker_pid`` attribute also feeds that pid's busy time, job count,
+  queue wait and the pool's wall-clock window;
+* ``counter`` → totals keyed by ``(name, backend)``;
+* ``event`` → counts and spec-prefix sets keyed by ``(name, reason)``;
+  a ``resource_sample`` event also sets the last-value resource gauges
+  of its ``(pid, source)``, their RSS peak, and the parent RSS series;
+* ``session_start``/``session_end`` → session counts and lifetimes;
+* ``progress`` is live-rendering state and folds to nothing.
 
-Everything here inherits the telemetry contract: the registry only ever
-*reads* already-emitted events, never touches the simulation's RNG
-streams or results, so observe on/off cannot move a store fingerprint.
+A record whose ``dur``, ``value`` or ``elapsed_seconds`` is not a finite
+number is skipped whole, as :func:`~repro.telemetry.summarize.iter_events`
+skips a malformed line: a view of most of a file beats no view.  Totals
+are left-to-right sums in record order on every Python version.
+
+The fold only ever *reads* already-emitted events; it never touches the
+simulation's RNG streams or results, so it cannot move a store
+fingerprint.
 """
 
 from __future__ import annotations
 
-import re
+import math
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.analysis.statistics import quantile
 
-#: Prometheus metric-name grammar; label names drop the colon.
-METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+#: Resource-sample attributes folded into last-value gauges.
+RESOURCE_ATTRS = ("rss_bytes", "cpu_seconds", "fds")
 
-#: Quantiles every histogram exports, in export order.
-HISTOGRAM_QUANTILES = (0.5, 0.95, 0.99)
-
-
-class MetricError(ValueError):
-    """A metric or label name violates the exposition grammar."""
+#: The numeric field a record of each kind must carry to be folded.
+_NUMERIC_FIELD = {"span": "dur", "counter": "value", "session_end": "elapsed_seconds"}
 
 
-def _check_name(name: str) -> str:
-    if not METRIC_NAME_RE.match(name):
-        raise MetricError(
-            f"invalid metric name {name!r} (must match {METRIC_NAME_RE.pattern})"
-        )
-    return name
+def running_total(values: Iterable[float]) -> float:
+    """Left-to-right float sum (3.12's ``sum`` compensates; this never does)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
-def _label_key(labels: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
-    """Canonical hashable form of a label set (sorted, stringified)."""
-    for label in labels:
-        if not LABEL_NAME_RE.match(label):
-            raise MetricError(
-                f"invalid label name {label!r} (must match {LABEL_NAME_RE.pattern})"
-            )
-    return tuple(sorted((name, str(value)) for name, value in labels.items()))
+def _number(raw: Any) -> float | None:
+    """``raw`` as a finite float, or ``None`` when it is not one."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
 
 
-class Metric:
-    """Base class: a named, typed family of labelled samples."""
+@dataclass(frozen=True)
+class Distribution:
+    """Observations of one key in record order, with their total."""
 
-    metric_type = "untyped"
+    values: tuple[float, ...]
+    total: float
 
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = _check_name(name)
-        self.help = help_text
-        self._samples: dict[tuple[tuple[str, str], ...], Any] = {}
+    @classmethod
+    def of(cls, values: Iterable[float]) -> "Distribution":
+        values = tuple(values)
+        return cls(values, running_total(values))
 
-    def samples(self) -> list[tuple[dict[str, str], Any]]:
-        """``(labels, value)`` pairs in insertion order."""
-        return [(dict(key), value) for key, value in self._samples.items()]
+    @property
+    def count(self) -> int:
+        return len(self.values)
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
-
-class Counter(Metric):
-    metric_type = "counter"
-
-    def inc(self, value: float = 1.0, **labels: Any) -> None:
-        if value < 0:
-            raise MetricError(f"counter {self.name} cannot decrease (got {value})")
-        key = _label_key(labels)
-        self._samples[key] = self._samples.get(key, 0.0) + float(value)
-
-    def value(self, **labels: Any) -> float:
-        return float(self._samples.get(_label_key(labels), 0.0))
+    def quantile(self, q: float) -> float:
+        return quantile(self.values, q)
 
 
-class Gauge(Metric):
-    metric_type = "gauge"
+@dataclass(frozen=True)
+class Worker:
+    """One pool worker's share of the attributed spans."""
 
-    def set(self, value: float, **labels: Any) -> None:
-        self._samples[_label_key(labels)] = float(value)
-
-    def value(self, **labels: Any) -> float | None:
-        raw = self._samples.get(_label_key(labels))
-        return float(raw) if raw is not None else None
+    jobs: int
+    busy_seconds: float
 
 
-class Histogram(Metric):
-    """A distribution; keeps raw observations so quantiles stay exact.
+@dataclass(frozen=True)
+class TelemetryFold:
+    """Everything the observability views show, from one pass.
 
-    Observation counts here are telemetry-scale (one per span, not one
-    per slot), so the memory cost of exact quantiles is irrelevant next
-    to the JSONL file the events came from.
+    Every mapping keeps its keys in first-seen order.
     """
 
-    metric_type = "histogram"
-
-    def observe(self, value: float, **labels: Any) -> None:
-        self._samples.setdefault(_label_key(labels), []).append(float(value))
-
-    def snapshot(self, **labels: Any) -> dict[str, float] | None:
-        """count/sum/p50/p95/p99 of one label set (``None`` when empty)."""
-        values = self._samples.get(_label_key(labels))
-        if not values:
-            return None
-        return summarize_distribution(values)
-
-
-def summarize_distribution(values: list[float]) -> dict[str, float]:
-    """The exported shape of one histogram sample."""
-    stats = {"count": float(len(values)), "sum": float(sum(values))}
-    for q in HISTOGRAM_QUANTILES:
-        stats[f"p{int(q * 100)}"] = quantile(values, q)
-    return stats
-
-
-class MetricsRegistry:
-    """All metrics of one observed process/run, keyed by name.
-
-    ``counter``/``gauge``/``histogram`` are get-or-create: asking twice
-    for the same name returns the same metric, and asking with a
-    different type for an existing name is an error (one name, one type —
-    the exposition format's rule).
-    """
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
-
-    def _get_or_create(self, cls: type[Metric], name: str, help_text: str) -> Metric:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise MetricError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.metric_type}, not {cls.metric_type}"
-                )
-            return existing
-        metric = cls(name, help_text)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help_text)  # type: ignore[return-value]
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help_text)  # type: ignore[return-value]
-
-    def histogram(self, name: str, help_text: str = "") -> Histogram:
-        return self._get_or_create(Histogram, name, help_text)  # type: ignore[return-value]
-
-    def metrics(self) -> list[Metric]:
-        """Every registered metric, sorted by name (export order)."""
-        return [self._metrics[name] for name in sorted(self._metrics)]
-
-    def get(self, name: str) -> Metric | None:
-        return self._metrics.get(name)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
+    #: Correlation ids, in first-seen order.
+    runs: tuple[str, ...]
+    #: ``(name, kind, backend)`` → span durations.
+    spans: Mapping[tuple[str, str, str], Distribution]
+    #: ``(name, backend)`` → counter total.
+    counters: Mapping[tuple[str, str], float]
+    #: ``(name, reason)`` → event count (``reason`` is ``None`` when absent).
+    events: Mapping[tuple[str, str | None], int]
+    #: ``(name, reason)`` → the spec-hash prefixes those events named.
+    event_specs: Mapping[tuple[str, str | None], frozenset[str]]
+    #: ``"start"``/``"end"`` → session count.
+    sessions: Mapping[str, int]
+    #: ``session_end`` lifetimes (``None`` when no session ended).
+    session_seconds: Distribution | None
+    #: resource attribute → ``(pid, source)`` → last sampled value.
+    resources: Mapping[str, Mapping[tuple[str, str], float]]
+    #: ``(pid, source)`` → highest sampled RSS.
+    rss_peak: Mapping[tuple[str, str], float]
+    #: The parent process's RSS samples, in record order.
+    parent_rss: tuple[float, ...]
+    #: worker pid → its jobs and busy seconds.
+    workers: Mapping[str, Worker]
+    #: Pool queue waits (submission → worker start), in record order.
+    queue_waits: tuple[float, ...]
+    #: Earliest attributed span start and latest end (``None`` without workers).
+    window: tuple[float, float] | None
 
 
-def _sanitize_label_component(raw: Any) -> str:
-    return str(raw)
-
-
-def fold_events(
-    events: Iterable[dict[str, Any]], registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Fold telemetry events into a registry of named metrics.
-
-    The mapping (one rule per telemetry event kind):
-
-    * ``span`` → ``repro_span_seconds`` histogram labelled by span name,
-      ``kind`` and ``backend`` — phase wall-clock distributions;
-    * ``counter`` → ``repro_counter_total`` counter labelled by counter
-      name and ``backend`` — slots simulated, packets processed, …;
-    * ``event`` named ``resource_sample`` → the ``repro_resource_*``
-      gauges (last value per pid/source) plus an RSS peak gauge;
-    * any other ``event`` → ``repro_events_total`` labelled by name and
-      ``reason``;
-    * ``session_start``/``session_end`` → ``repro_sessions_total`` and
-      the ``repro_session_seconds`` histogram.
-
-    ``progress`` events are live-rendering state, not metrics; they are
-    ignored, exactly as the summarizer ignores them.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    spans = registry.histogram(
-        "repro_span_seconds", "Telemetry span durations by name/kind/backend"
-    )
-    counters = registry.counter(
-        "repro_counter_total", "Telemetry counter totals by name/backend"
-    )
-    events_total = registry.counter(
-        "repro_events_total", "Telemetry point events by name/reason"
-    )
-    sessions = registry.counter(
-        "repro_sessions_total", "Telemetry sessions opened/closed"
-    )
+def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
+    """Fold a telemetry event stream into a :class:`TelemetryFold`, once."""
+    runs: list[str] = []
+    spans: dict[tuple[str, str, str], list[float]] = {}
+    counters: dict[tuple[str, str], float] = {}
+    event_counts: dict[tuple[str, str | None], int] = {}
+    event_specs: dict[tuple[str, str | None], set[str]] = {}
+    sessions: dict[str, int] = {}
+    lifetimes: list[float] = []
+    resources: dict[str, dict[tuple[str, str], float]] = {
+        attr: {} for attr in RESOURCE_ATTRS
+    }
+    rss_peak: dict[tuple[str, str], float] = {}
+    parent_rss: list[float] = []
+    workers: dict[str, list[Any]] = {}
+    queue_waits: list[float] = []
+    window: tuple[float, float] | None = None
     for record in events:
         kind = record.get("ev")
-        if kind == "span":
-            attrs = record.get("attrs") or {}
-            spans.observe(
-                float(record.get("dur", 0.0)),
-                name=_sanitize_label_component(record.get("name")),
-                kind=_sanitize_label_component(attrs.get("kind", "phase")),
-                backend=_sanitize_label_component(attrs.get("backend", "-")),
-            )
-        elif kind == "counter":
-            attrs = record.get("attrs") or {}
-            counters.inc(
-                float(record.get("value", 0.0)),
-                name=_sanitize_label_component(record.get("name")),
-                backend=_sanitize_label_component(attrs.get("backend", "-")),
-            )
-        elif kind == "event":
-            attrs = record.get("attrs") or {}
-            name = str(record.get("name"))
-            if name == "resource_sample":
-                _fold_resource_sample(registry, attrs)
-                continue
-            events_total.inc(
-                1.0,
-                name=_sanitize_label_component(name),
-                reason=_sanitize_label_component(attrs.get("reason", "-")),
-            )
-        elif kind == "session_start":
-            sessions.inc(1.0, phase="start")
-        elif kind == "session_end":
-            sessions.inc(1.0, phase="end")
-            registry.histogram(
-                "repro_session_seconds", "Telemetry session lifetimes"
-            ).observe(float(record.get("elapsed_seconds", 0.0)))
-    return registry
-
-
-def _fold_resource_sample(registry: MetricsRegistry, attrs: Mapping[str, Any]) -> None:
-    """One ``resource_sample`` event → the resource gauge family.
-
-    Gauges keep the *last* value per (pid, source); the RSS peak gauge
-    keeps the max, because the interesting number for capacity planning
-    is the high-water mark, which a last-value gauge scraped after the
-    run would miss.
-    """
-    pid = _sanitize_label_component(attrs.get("pid", "-"))
-    source = _sanitize_label_component(attrs.get("source", "-"))
-    mapping = (
-        ("rss_bytes", "repro_resource_rss_bytes", "Resident set size"),
-        ("cpu_seconds", "repro_resource_cpu_seconds", "Cumulative process CPU time"),
-        ("fds", "repro_resource_open_fds", "Open file descriptors"),
-    )
-    for attr, metric_name, help_text in mapping:
-        raw = attrs.get(attr)
-        if raw is None:
+        field = _NUMERIC_FIELD.get(kind)
+        number = _number(record.get(field, 0.0)) if field else None
+        if field and number is None:
             continue
-        registry.gauge(metric_name, help_text).set(float(raw), pid=pid, source=source)
-    rss = attrs.get("rss_bytes")
-    if rss is not None:
-        peak = registry.gauge(
-            "repro_resource_rss_peak_bytes", "High-water resident set size"
-        )
-        previous = peak.value(pid=pid, source=source)
-        if previous is None or float(rss) > previous:
-            peak.set(float(rss), pid=pid, source=source)
-
-
-class RegistrySink:
-    """A telemetry sink folding a *live* session into a registry.
-
-    Attach it alongside the JSONL sink to scrape metrics mid-run (the
-    seam a future ``/metrics`` HTTP endpoint reads from) — the folding
-    rules are exactly :func:`fold_events`'s, applied one event at a time.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def emit(self, record: dict[str, Any]) -> None:
-        try:
-            fold_events((record,), self.registry)
-        except Exception:
-            # The sink contract: observability must never raise into the
-            # instrumented path.
-            pass
-
-    def close(self) -> None:
-        pass
+        run = record.get("run")
+        if run and run not in runs:
+            runs.append(run)
+        attrs = record.get("attrs")
+        if not isinstance(attrs, dict):
+            attrs = {}
+        if kind == "span":
+            key = (
+                str(record.get("name")),
+                str(attrs.get("kind", "phase")),
+                str(attrs.get("backend", "-")),
+            )
+            spans.setdefault(key, []).append(number)
+            pid = attrs.get("worker_pid")
+            if pid is not None:
+                worker = workers.setdefault(str(pid), [0, 0.0])
+                worker[0] += 1
+                worker[1] += number
+                wait = _number(attrs.get("queue_wait"))
+                if wait is not None:
+                    queue_waits.append(wait)
+                ended = _number(record.get("ts")) or 0.0
+                started = ended - number
+                window = (
+                    (started, ended)
+                    if window is None
+                    else (min(window[0], started), max(window[1], ended))
+                )
+        elif kind == "counter":
+            key = (str(record.get("name")), str(attrs.get("backend", "-")))
+            counters[key] = counters.get(key, 0.0) + number
+        elif kind == "event":
+            name = str(record.get("name"))
+            reason = attrs.get("reason")
+            key = (name, None if reason is None else str(reason))
+            event_counts[key] = event_counts.get(key, 0) + 1
+            # Spec-hash prefixes (vector_fallback carries them) name *which*
+            # configurations an event row covers, not just how many times.
+            spec = attrs.get("spec")
+            if spec:
+                event_specs.setdefault(key, set()).add(str(spec))
+            if name == "resource_sample":
+                process = (str(attrs.get("pid", "-")), str(attrs.get("source", "-")))
+                for attr in RESOURCE_ATTRS:
+                    value = _number(attrs.get(attr))
+                    if value is not None:
+                        resources[attr][process] = value
+                rss = _number(attrs.get("rss_bytes"))
+                if rss is not None:
+                    # The high-water mark is what capacity planning needs;
+                    # a last-value gauge read after the run would miss it.
+                    rss_peak[process] = max(rss, rss_peak.get(process, rss))
+                    if attrs.get("source") == "parent":
+                        parent_rss.append(rss)
+        elif kind == "session_start":
+            sessions["start"] = sessions.get("start", 0) + 1
+        elif kind == "session_end":
+            sessions["end"] = sessions.get("end", 0) + 1
+            lifetimes.append(number)
+    return TelemetryFold(
+        runs=tuple(runs),
+        spans={key: Distribution.of(values) for key, values in spans.items()},
+        counters=counters,
+        events=event_counts,
+        event_specs={key: frozenset(specs) for key, specs in event_specs.items()},
+        sessions=sessions,
+        session_seconds=Distribution.of(lifetimes) if lifetimes else None,
+        resources=resources,
+        rss_peak=rss_peak,
+        parent_rss=tuple(parent_rss),
+        workers={pid: Worker(jobs, busy) for pid, (jobs, busy) in workers.items()},
+        queue_waits=tuple(queue_waits),
+        window=window,
+    )

@@ -7,8 +7,8 @@ can be attached to a CI run or mailed around and still open anywhere.
 Sections appear when their inputs do:
 
 * a telemetry JSONL file contributes phase wall-clock bars, counter
-  tables, worker-utilization attribution, and resource-gauge tables
-  (through :func:`repro.observe.registry.fold_events`);
+  tables, worker-utilization attribution, and resource-gauge tables,
+  all rendered from one :func:`repro.observe.registry.fold_events` pass;
 * a results store + campaign id contributes the campaign overview, unit
   timing, and per-protocol trajectory sparklines (the same series
   ``dynamics show`` renders as block characters, here as SVG polylines);
@@ -23,8 +23,7 @@ import math
 from typing import Any, Iterable, Sequence
 
 from repro.observe.perf import regress_groups
-from repro.observe.registry import MetricsRegistry, fold_events
-from repro.observe.workers import worker_utilization
+from repro.observe.registry import TelemetryFold, fold_events
 
 #: Trajectory series drawn per protocol (a readable subset of the full
 #: export; `dynamics export` remains the firehose).
@@ -143,10 +142,10 @@ def _table(
     return "".join(out)
 
 
-def _telemetry_sections(events: list[dict[str, Any]]) -> list[str]:
-    from repro.telemetry import summarize_events
+def _telemetry_sections(fold: TelemetryFold) -> list[str]:
+    from repro.telemetry.summarize import summarize_fold
 
-    summary = summarize_events(events)
+    summary = summarize_fold(fold)
     sections: list[str] = []
     phase_rows = [
         (f"{row['name']} [{row['backend']}]", row["total"])
@@ -173,7 +172,7 @@ def _telemetry_sections(events: list[dict[str, Any]]) -> list[str]:
                 numeric={1},
             )
         )
-    utilization = worker_utilization(events)
+    utilization = summary.get("workers")
     if utilization is not None:
         rows = [
             (
@@ -200,32 +199,22 @@ def _telemetry_sections(events: list[dict[str, Any]]) -> list[str]:
             + _table(("pid", "jobs", "busy_s", "busy fraction"), rows, numeric={1, 2, 3})
             + f'<p class="meta">{_e(caption)}</p>'
         )
-    sections.extend(_resource_sections(events))
+    sections.extend(_resource_sections(fold))
     return sections
 
 
-def _resource_sections(events: list[dict[str, Any]]) -> list[str]:
-    registry: MetricsRegistry = fold_events(events)
-    rss = registry.get("repro_resource_rss_peak_bytes")
-    cpu = registry.get("repro_resource_cpu_seconds")
-    fds = registry.get("repro_resource_open_fds")
-    if rss is None and cpu is None and fds is None:
+def _resource_sections(fold: TelemetryFold) -> list[str]:
+    columns = {
+        "rss_peak": fold.rss_peak,
+        "cpu_seconds": fold.resources["cpu_seconds"],
+        "fds": fold.resources["fds"],
+    }
+    by_process: dict[tuple[str, str], dict[str, float]] = {}
+    for column, values in columns.items():
+        for process, value in values.items():
+            by_process.setdefault(process, {})[column] = value
+    if not by_process:
         return []
-    by_process: dict[tuple[str, str], dict[str, Any]] = {}
-    for metric, column in ((rss, "rss_peak"), (cpu, "cpu_seconds"), (fds, "fds")):
-        if metric is None:
-            continue
-        for labels, value in metric.samples():
-            key = (labels.get("pid", "-"), labels.get("source", "-"))
-            by_process.setdefault(key, {})[column] = value
-    rss_series = [
-        float(record["attrs"]["rss_bytes"])
-        for record in events
-        if record.get("ev") == "event"
-        and record.get("name") == "resource_sample"
-        and (record.get("attrs") or {}).get("source") == "parent"
-        and "rss_bytes" in (record.get("attrs") or {})
-    ]
     rows = [
         (
             pid,
@@ -239,10 +228,10 @@ def _resource_sections(events: list[dict[str, Any]]) -> list[str]:
     section = "<h2>Resources</h2>" + _table(
         ("pid", "source", "rss peak", "cpu_s", "fds"), rows, numeric={2, 3, 4}
     )
-    if len(rss_series) >= 2:
+    if len(fold.parent_rss) >= 2:
         section += (
             f'<p class="meta">parent RSS over time '
-            f"({len(rss_series)} samples)</p>" + svg_sparkline(rss_series)
+            f"({len(fold.parent_rss)} samples)</p>" + svg_sparkline(fold.parent_rss)
         )
     return [section]
 
@@ -377,16 +366,20 @@ def render_html_report(
     *,
     store: Any | None = None,
     campaign_id: str | None = None,
-    events: list[dict[str, Any]] | None = None,
+    events: Iterable[dict[str, Any]] | None = None,
     title: str | None = None,
 ) -> str:
-    """Assemble the dashboard from whichever inputs are present."""
+    """Assemble the dashboard from whichever inputs are present.
+
+    ``events`` may be any iterable, a one-shot iterator included: it is
+    folded once, and the telemetry sections render that fold.
+    """
     from repro.observe.perf import host_fingerprint
     from repro.store.store import describe_version
 
     sections: list[str] = []
-    if events:
-        sections.extend(_telemetry_sections(events))
+    if events is not None:
+        sections.extend(_telemetry_sections(fold_events(events)))
     if store is not None and campaign_id is not None:
         sections.extend(_campaign_sections(store, campaign_id))
     if store is not None:

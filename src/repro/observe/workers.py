@@ -3,8 +3,8 @@
 :class:`~repro.exec.backends.ProcessPoolBackend` already emits one
 ``simulate`` phase span per job with ``worker_pid`` and ``queue_wait``
 attributes (workers time themselves on the system-wide monotonic clock).
-This module folds those spans into the scaling diagnostics the upcoming
-sharded-campaign work needs:
+:func:`~repro.observe.registry.fold_events` folds those spans once;
+this module renders the fold's worker share as scaling diagnostics:
 
 * per-pid busy seconds, job count, and busy fraction of the pool's
   wall-clock window;
@@ -22,70 +22,52 @@ is computed by :func:`unit_imbalance` and surfaced in
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.statistics import quantile
+from repro.observe.registry import TelemetryFold, running_total
 
 
-def worker_utilization(events: Iterable[dict[str, Any]]) -> dict[str, Any] | None:
-    """Fold pool-attributed spans into per-worker utilization rows.
+def worker_utilization(fold: TelemetryFold) -> dict[str, Any] | None:
+    """Per-worker utilization rows of a fold's pool-attributed spans.
 
-    Returns ``None`` when the events carry no ``worker_pid`` spans (the
+    Returns ``None`` when the fold holds no ``worker_pid`` spans (the
     run never touched a process pool).  The wall-clock window is the
     envelope of all attributed spans — from the earliest job start
     (``ts - dur``) to the latest job end (``ts``) — which is exactly the
     interval during which the pool had work in flight.
     """
-    per_pid: dict[str, dict[str, Any]] = {}
-    queue_waits: list[float] = []
-    window_start: float | None = None
-    window_end: float | None = None
-    for record in events:
-        if record.get("ev") != "span":
-            continue
-        attrs = record.get("attrs") or {}
-        pid = attrs.get("worker_pid")
-        if pid is None:
-            continue
-        duration = float(record.get("dur", 0.0))
-        ended = float(record.get("ts", 0.0))
-        started = ended - duration
-        row = per_pid.setdefault(
-            str(pid), {"pid": str(pid), "jobs": 0, "busy_seconds": 0.0}
-        )
-        row["jobs"] += 1
-        row["busy_seconds"] += duration
-        wait = attrs.get("queue_wait")
-        if wait is not None:
-            queue_waits.append(float(wait))
-        window_start = started if window_start is None else min(window_start, started)
-        window_end = ended if window_end is None else max(window_end, ended)
-    if not per_pid:
+    if not fold.workers or fold.window is None:
         return None
-    wall = max((window_end or 0.0) - (window_start or 0.0), 0.0)
-    busy_values = [row["busy_seconds"] for row in per_pid.values()]
-    for row in per_pid.values():
-        row["busy_seconds"] = round(row["busy_seconds"], 6)
-        row["busy_fraction"] = (
-            round(row["busy_seconds"] / wall, 4) if wall > 0 else None
+    wall = max(fold.window[1] - fold.window[0], 0.0)
+    rows = []
+    for pid, worker in fold.workers.items():
+        busy = round(worker.busy_seconds, 6)
+        rows.append(
+            {
+                "pid": pid,
+                "jobs": worker.jobs,
+                "busy_seconds": busy,
+                "busy_fraction": round(busy / wall, 4) if wall > 0 else None,
+            }
         )
-    mean_busy = sum(busy_values) / len(busy_values)
+    busy_values = [worker.busy_seconds for worker in fold.workers.values()]
+    mean_busy = running_total(busy_values) / len(busy_values)
     summary: dict[str, Any] = {
-        "workers": sorted(
-            per_pid.values(), key=lambda row: -row["busy_seconds"]
-        ),
-        "jobs": sum(row["jobs"] for row in per_pid.values()),
+        "workers": sorted(rows, key=lambda row: -row["busy_seconds"]),
+        "jobs": sum(row["jobs"] for row in rows),
         "wall_seconds": round(wall, 6),
         "imbalance": (
             round(max(busy_values) / mean_busy, 4) if mean_busy > 0 else None
         ),
     }
-    if queue_waits:
+    waits = fold.queue_waits
+    if waits:
         summary["queue_wait"] = {
-            "count": len(queue_waits),
-            "p50": round(quantile(queue_waits, 0.5), 6),
-            "p95": round(quantile(queue_waits, 0.95), 6),
-            "max": round(max(queue_waits), 6),
+            "count": len(waits),
+            "p50": round(quantile(waits, 0.5), 6),
+            "p95": round(quantile(waits, 0.95), 6),
+            "max": round(max(waits), 6),
         }
     return summary
 

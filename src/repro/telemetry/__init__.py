@@ -25,6 +25,7 @@ from repro.telemetry.summarize import (
     render_summary,
     summarize_events,
     summarize_file,
+    summarize_fold,
 )
 
 __all__ = [
@@ -46,4 +47,5 @@ __all__ = [
     "render_summary",
     "summarize_events",
     "summarize_file",
+    "summarize_fold",
 ]

@@ -1,8 +1,10 @@
-"""Aggregate a telemetry JSONL file into per-phase/per-backend tables.
+"""Read a telemetry JSONL file and render its per-phase/per-backend tables.
 
 The reader tolerates a truncated final line (the expected artifact of a
 SIGKILL mid-write, see :class:`repro.telemetry.sinks.JsonlSink`) and
 skips any malformed interior line rather than failing the whole file.
+The tables render one :func:`repro.observe.registry.fold_events` pass —
+the same fold every other observability view renders.
 
 The summary decomposes wall-clock by span kind:
 
@@ -21,6 +23,11 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.analysis.statistics import quantile
+from repro.observe.registry import TelemetryFold, fold_events, running_total
+from repro.observe.workers import render_worker_table, worker_utilization
+
+#: The span table each span kind lands in (any other kind is a phase).
+_SPAN_TABLES = {"root": "roots", "unit": "units"}
 
 
 def iter_events(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -62,128 +69,113 @@ def filter_events(
     ``runs`` are run-id *prefixes* (like git object names: any
     unambiguous prefix of the id ``session_start`` printed); ``last``
     keeps only the file's most recent session.  With neither, the events
-    come back unchanged.
+    come back unchanged.  A prefix matching more than one run id raises
+    :class:`ValueError` naming them; a prefix matching none selects
+    nothing.
     """
     events = list(events)
-    prefixes = tuple(runs) if runs else ()
-    if last:
-        order: list[str] = []
-        for record in events:
-            run = record.get("run")
-            if run and run not in order:
-                order.append(run)
-        if not order:
-            return []
-        prefixes = prefixes + (order[-1],)
-    if not prefixes:
+    order: list[str] = []
+    for record in events:
+        run = record.get("run")
+        if run and run not in order:
+            order.append(run)
+    selected: set[str] = set()
+    for prefix in runs or ():
+        matches = [run for run in order if str(run).startswith(prefix)]
+        if len(matches) > 1 and prefix not in matches:
+            raise ValueError(
+                f"run prefix {prefix!r} is ambiguous: it matches "
+                + ", ".join(sorted(map(str, matches)))
+            )
+        selected.update([prefix] if prefix in matches else matches)
+    if last and order:
+        selected.add(order[-1])
+    if not runs and not last:
         return events
-    return [
-        record
-        for record in events
-        if any(str(record.get("run", "")).startswith(p) for p in prefixes)
-    ]
+    return [record for record in events if record.get("run") in selected]
 
 
-def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Fold telemetry events into the summary structure rendered below.
+def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
+    """The ``telemetry summarize --json`` document of one fold.
 
     Returns a dict with ``runs`` (correlation ids seen), ``phases`` /
     ``roots`` / ``units`` span tables keyed by ``(name, backend)``,
-    ``counters`` totals, ``events`` counts keyed by ``(name, key-detail)``,
-    and ``coverage`` (phase seconds / root seconds, ``None`` when no
-    root span exists).
+    ``counters`` totals, ``events`` counts keyed by ``name[reason]``,
+    ``coverage`` (phase seconds / root seconds, ``None`` when no root
+    span exists), and ``workers`` when pool-attributed spans exist.
     """
-    runs: list[str] = []
-    phases: dict[tuple[str, str], dict[str, Any]] = {}
-    roots: dict[tuple[str, str], dict[str, Any]] = {}
-    units: dict[tuple[str, str], dict[str, Any]] = {}
+    tables: dict[str, dict[tuple[str, str], list[Any]]] = {
+        "roots": {}, "units": {}, "phases": {}
+    }
+    for (name, kind, backend), durations in fold.spans.items():
+        table = tables[_SPAN_TABLES.get(kind, "phases")]
+        table.setdefault((name, backend), []).append(durations)
+    rows: dict[str, list[dict[str, Any]]] = {}
+    for title, table in tables.items():
+        rows[title] = []
+        for (name, backend), parts in table.items():
+            durations = [value for part in parts for value in part.values]
+            total = running_total(part.total for part in parts)
+            rows[title].append(
+                {
+                    "name": name,
+                    "backend": backend,
+                    "count": len(durations),
+                    "total": total,
+                    "max": max(durations),
+                    "mean": total / len(durations),
+                    # Same quantile definition the Prometheus export uses
+                    # (linear interpolation, repro.analysis.statistics).
+                    "p50": quantile(durations, 0.5),
+                    "p95": quantile(durations, 0.95),
+                }
+            )
     counters: dict[str, float] = {}
-    event_counts: dict[str, int] = {}
+    for (name, _backend), value in fold.counters.items():
+        counters[name] = counters.get(name, 0.0) + value
+    events: dict[str, int] = {}
     event_specs: dict[str, set[str]] = {}
+    for (name, reason), count in fold.events.items():
+        label = f"{name}[{reason}]" if reason else name
+        events[label] = events.get(label, 0) + count
+        if (name, reason) in fold.event_specs:
+            event_specs.setdefault(label, set()).update(fold.event_specs[name, reason])
 
-    def fold_span(table: dict[tuple[str, str], dict[str, Any]], record: dict[str, Any]) -> None:
-        attrs = record.get("attrs") or {}
-        key = (str(record.get("name")), str(attrs.get("backend", "-")))
-        row = table.setdefault(
-            key,
-            {
-                "name": key[0],
-                "backend": key[1],
-                "count": 0,
-                "total": 0.0,
-                "max": 0.0,
-                "durations": [],
-            },
-        )
-        duration = float(record.get("dur", 0.0))
-        row["count"] += 1
-        row["total"] += duration
-        row["max"] = max(row["max"], duration)
-        row["durations"].append(duration)
-
-    for record in events:
-        run = record.get("run")
-        if run and run not in runs:
-            runs.append(run)
-        kind = record.get("ev")
-        if kind == "span":
-            attrs = record.get("attrs") or {}
-            span_kind = attrs.get("kind", "phase")
-            if span_kind == "root":
-                fold_span(roots, record)
-            elif span_kind == "unit":
-                fold_span(units, record)
-            else:
-                fold_span(phases, record)
-        elif kind == "counter":
-            name = str(record.get("name"))
-            counters[name] = counters.get(name, 0.0) + float(record.get("value", 0.0))
-        elif kind == "event":
-            attrs = record.get("attrs") or {}
-            name = str(record.get("name"))
-            reason = attrs.get("reason")
-            label = f"{name}[{reason}]" if reason else name
-            event_counts[label] = event_counts.get(label, 0) + 1
-            # Spec-hash prefixes (vector_fallback carries them) name *which*
-            # configurations an event row covers, not just how many times.
-            spec = attrs.get("spec")
-            if spec:
-                event_specs.setdefault(label, set()).add(str(spec))
-
-    for table in (phases, roots, units):
-        for row in table.values():
-            row["mean"] = row["total"] / row["count"] if row["count"] else 0.0
-            # Same quantile definition the observe histograms export
-            # (linear interpolation, repro.analysis.statistics.quantile).
-            durations = row.pop("durations")
-            row["p50"] = quantile(durations, 0.5) if durations else 0.0
-            row["p95"] = quantile(durations, 0.95) if durations else 0.0
-
-    phase_total = sum(row["total"] for row in phases.values())
-    root_total = sum(row["total"] for row in roots.values())
-    coverage = phase_total / root_total if root_total > 0 else None
-    return {
-        "runs": runs,
-        "phases": sorted(phases.values(), key=lambda r: -r["total"]),
-        "roots": sorted(roots.values(), key=lambda r: -r["total"]),
-        "units": sorted(units.values(), key=lambda r: -r["total"]),
+    phase_total = running_total(row["total"] for row in rows["phases"])
+    root_total = running_total(row["total"] for row in rows["roots"])
+    summary: dict[str, Any] = {
+        "runs": list(fold.runs),
+        **{
+            title: sorted(rows[title], key=lambda r: -r["total"])
+            for title in ("phases", "roots", "units")
+        },
         "counters": dict(sorted(counters.items())),
-        "events": dict(sorted(event_counts.items())),
+        "events": dict(sorted(events.items())),
         "event_specs": {
             label: sorted(specs) for label, specs in sorted(event_specs.items())
         },
         "phase_seconds": phase_total,
         "root_seconds": root_total,
-        "coverage": coverage,
+        "coverage": phase_total / root_total if root_total > 0 else None,
     }
+    workers = worker_utilization(fold)
+    if workers is not None:
+        summary["workers"] = workers
+    return summary
+
+
+def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Fold ``events`` once and return :func:`summarize_fold`'s document."""
+    return summarize_fold(fold_events(events))
 
 
 def summarize_file(path: str | Path) -> dict[str, Any]:
-    return summarize_events(read_events(path))
+    """The ``telemetry summarize --json`` document of a JSONL file."""
+    return summarize_events(iter_events(path))
 
 
 def render_summary(summary: dict[str, Any]) -> str:
-    """Render :func:`summarize_events` output as an aligned text table."""
+    """Render :func:`summarize_fold` output as aligned text tables."""
     lines: list[str] = []
     runs = summary["runs"]
     lines.append(f"telemetry summary — {len(runs)} session(s): {', '.join(runs) or '-'}")
@@ -237,4 +229,6 @@ def render_summary(summary: dict[str, Any]) -> str:
         )
     else:
         lines.append("coverage: no root spans in file")
+    if "workers" in summary:
+        lines += ["", render_worker_table(summary["workers"])]
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 The load-bearing invariants:
 
-* the full observe stack (registry sink, resource sampler, perf
+* the full observe stack (JSONL sink, resource sampler, perf
   recording) is RNG- and result-inert — store fingerprints with it on
   and off are bit-identical on serial, processes, and vector backends;
 * Prometheus text exposition conforms: valid metric names, exactly one
@@ -31,12 +31,6 @@ from repro.campaigns import campaign_status_rows, start_campaign
 from repro.cli import main
 from repro.exec import make_backend
 from repro.observe import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    RegistrySink,
     ResourceSampler,
     backend_layout_name,
     detect_drift,
@@ -46,7 +40,6 @@ from repro.observe import (
     make_sampler,
     record_scenario_perf,
     regress_groups,
-    registry_to_dict,
     render_html_report,
     render_worker_table,
     sample_process,
@@ -56,7 +49,7 @@ from repro.observe import (
     unit_imbalance,
     worker_utilization,
 )
-from repro.observe.registry import METRIC_NAME_RE
+from repro.observe.export import METRIC_NAME_RE
 from repro.scenarios.spec import scenario_from_dict
 from repro.store import ResultsStore
 from repro.telemetry import (
@@ -105,52 +98,6 @@ class TestQuantile:
             quantile([1.0], 1.5)
 
 
-class TestMetricsRegistry:
-    def test_counter_accumulates_per_label_set(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs_total", "help")
-        counter.inc(2, backend="serial")
-        counter.inc(3, backend="serial")
-        counter.inc(1, backend="vector")
-        assert counter.value(backend="serial") == 5
-        assert counter.value(backend="vector") == 1
-
-    def test_counter_rejects_negative_increments(self):
-        counter = MetricsRegistry().counter("c_total")
-        with pytest.raises(MetricError):
-            counter.inc(-1)
-
-    def test_gauge_keeps_last_value(self):
-        gauge = MetricsRegistry().gauge("rss_bytes")
-        gauge.set(10, pid="1")
-        gauge.set(7, pid="1")
-        assert gauge.value(pid="1") == 7
-        assert gauge.value(pid="2") is None
-
-    def test_histogram_snapshot_has_quantiles(self):
-        histogram = MetricsRegistry().histogram("dur_seconds")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot["count"] == 4
-        assert snapshot["sum"] == 10
-        assert snapshot["p50"] == pytest.approx(2.5)
-        assert histogram.snapshot(other="x") is None
-
-    def test_get_or_create_is_idempotent_but_type_strict(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a_total") is registry.counter("a_total")
-        with pytest.raises(MetricError):
-            registry.gauge("a_total")
-
-    def test_invalid_metric_and_label_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError):
-            registry.counter("0starts-with-digit")
-        with pytest.raises(MetricError):
-            registry.counter("ok_total").inc(1, **{"bad:label": "x"})
-
-
 class TestFoldEvents:
     def test_spans_counters_events_sessions_all_fold(self):
         events = [
@@ -165,17 +112,14 @@ class TestFoldEvents:
              "done": 1, "total": 2},
             {"ts": 5.0, "run": "r", "ev": "session_end", "elapsed_seconds": 4.0},
         ]
-        registry = fold_events(events)
-        spans = registry.get("repro_span_seconds")
-        snapshot = spans.snapshot(name="simulate", kind="phase", backend="serial")
-        assert snapshot["count"] == 2 and snapshot["sum"] == 2.0
-        assert registry.get("repro_counter_total").value(
-            name="slots", backend="serial"
-        ) == 100
-        assert registry.get("repro_events_total").value(
-            name="fallback", reason="protocol"
-        ) == 1
-        assert registry.get("repro_sessions_total").value(phase="end") == 1
+        fold = fold_events(events)
+        spans = fold.spans[("simulate", "phase", "serial")]
+        assert spans.count == 2 and spans.total == 2.0
+        assert fold.counters[("slots", "serial")] == 100
+        assert fold.events[("fallback", "protocol")] == 1
+        assert fold.sessions == {"start": 1, "end": 1}
+        assert fold.session_seconds.values == (4.0,)
+        assert fold.runs == ("r", "r1")
 
     def test_resource_samples_become_gauges_with_rss_peak(self):
         def sample(rss, cpu):
@@ -183,99 +127,100 @@ class TestFoldEvents:
                     "attrs": {"pid": 42, "source": "parent",
                               "rss_bytes": rss, "cpu_seconds": cpu, "fds": 7}}
 
-        registry = fold_events([sample(100, 0.1), sample(300, 0.2), sample(200, 0.3)])
-        assert registry.get("repro_resource_rss_bytes").value(
-            pid="42", source="parent"
-        ) == 200  # last value
-        assert registry.get("repro_resource_rss_peak_bytes").value(
-            pid="42", source="parent"
-        ) == 300  # high-water mark
-        assert registry.get("repro_resource_cpu_seconds").value(
-            pid="42", source="parent"
-        ) == pytest.approx(0.3)
-        assert registry.get("repro_resource_open_fds").value(
-            pid="42", source="parent"
-        ) == 7
+        fold = fold_events([sample(100, 0.1), sample(300, 0.2), sample(200, 0.3)])
+        process = ("42", "parent")
+        assert fold.resources["rss_bytes"][process] == 200  # last value
+        assert fold.rss_peak[process] == 300  # high-water mark
+        assert fold.resources["cpu_seconds"][process] == pytest.approx(0.3)
+        assert fold.resources["fds"][process] == 7
+        assert fold.parent_rss == (100.0, 300.0, 200.0)
 
-    def test_registry_sink_folds_a_live_session(self):
-        sink = RegistrySink()
-        session = TelemetrySession([sink])
-        with session.span("simulate", kind="phase", backend="serial"):
-            pass
-        session.counter("slots", 50, backend="serial")
-        session.close()
-        assert sink.registry.get("repro_counter_total").value(
-            name="slots", backend="serial"
-        ) == 50
-        assert sink.registry.get("repro_span_seconds").snapshot(
-            name="simulate", kind="phase", backend="serial"
-        )["count"] == 1
+    def test_fold_is_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fold_events([]).runs = ("x",)
 
 
 class TestPrometheusConformance:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_jobs_total", "Jobs").inc(3, backend="serial")
-        registry.gauge("repro_rss_bytes", "RSS").set(12345, pid="1")
-        hist = registry.histogram("repro_dur_seconds", "Durations")
-        for value in (0.1, 0.2, 0.3):
-            hist.observe(value, name="simulate")
-        return registry
+    def _fold(self):
+        return fold_events(
+            [
+                {"ts": 1.0, "run": "r", "ev": "counter", "name": "jobs",
+                 "value": 3, "attrs": {"backend": "serial"}},
+                {"ts": 1.0, "run": "r", "ev": "event", "name": "resource_sample",
+                 "attrs": {"pid": 1, "source": "parent", "rss_bytes": 12345}},
+                *(_span("simulate", value) for value in (0.1, 0.2, 0.3)),
+            ]
+        )
 
     def test_every_family_has_one_help_and_type_line(self):
-        text = to_prometheus(self._registry())
+        text = to_prometheus(self._fold())
         for name, exposition_type in (
-            ("repro_jobs_total", "counter"),
-            ("repro_rss_bytes", "gauge"),
-            ("repro_dur_seconds", "summary"),
+            ("repro_counter_total", "counter"),
+            ("repro_resource_rss_bytes", "gauge"),
+            ("repro_span_seconds", "summary"),
         ):
             assert text.count(f"# HELP {name} ") == 1
             assert text.count(f"# TYPE {name} {exposition_type}\n") == 1
 
     def test_all_sample_lines_have_valid_metric_names(self):
-        for line in to_prometheus(self._registry()).splitlines():
+        for line in to_prometheus(self._fold()).splitlines():
             if not line or line.startswith("#"):
                 continue
             name = re.split(r"[{ ]", line, maxsplit=1)[0]
             assert METRIC_NAME_RE.match(name), line
 
     def test_histogram_exports_quantiles_sum_and_count(self):
-        text = to_prometheus(self._registry())
-        assert 'repro_dur_seconds{name="simulate",quantile="0.5"} 0.2' in text
-        assert 'repro_dur_seconds_sum{name="simulate"}' in text
-        assert 'repro_dur_seconds_count{name="simulate"} 3' in text
+        text = to_prometheus(self._fold())
+        labels = 'backend="serial",kind="phase",name="simulate"'
+        assert f'repro_span_seconds{{{labels},quantile="0.5"}} 0.2' in text
+        assert f"repro_span_seconds_sum{{{labels}}}" in text
+        assert f"repro_span_seconds_count{{{labels}}} 3" in text
 
     def test_label_values_escape_backslash_quote_and_newline(self):
         assert escape_label_value('a\\b"c\nd') == 'a\\\\b\\"c\\nd'
-        registry = MetricsRegistry()
-        registry.counter("e_total").inc(1, reason='bad "quote"\nnewline\\slash')
+        fold = fold_events(
+            [{"ev": "event", "name": "e",
+              "attrs": {"reason": 'bad "quote"\nnewline\\slash'}}]
+        )
         (line,) = [
             line
-            for line in to_prometheus(registry).splitlines()
-            if line.startswith("e_total{")
+            for line in to_prometheus(fold).splitlines()
+            if line.startswith("repro_events_total{")
         ]
-        assert line == 'e_total{reason="bad \\"quote\\"\\nnewline\\\\slash"} 1'
+        assert line == (
+            'repro_events_total{name="e",reason="bad \\"quote\\"\\nnewline\\\\slash"} 1'
+        )
         # The escaped payload must stay on one physical line.
         assert "\n" not in line
 
     def test_labels_render_sorted_and_infinities_render_signed(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(float("inf"), z="1", a="2")
-        text = to_prometheus(registry)
-        assert 'g{a="2",z="1"} +Inf' in text
+        import dataclasses
 
-    def test_empty_registry_renders_empty_document(self):
-        assert to_prometheus(MetricsRegistry()) == ""
+        fold = dataclasses.replace(
+            fold_events([]), rss_peak={("1", "parent"): float("inf")}
+        )
+        text = to_prometheus(fold)
+        assert 'repro_resource_rss_peak_bytes{pid="1",source="parent"} +Inf' in text
 
-    def test_json_export_mirrors_the_registry(self):
-        document = registry_to_dict(self._registry())
+    def test_empty_stream_renders_only_the_fixed_families(self):
+        text = to_prometheus(fold_events([]))
+        assert [line for line in text.splitlines() if not line.startswith("#")] == []
+        assert text.count("# TYPE ") == 4
+
+    def test_json_export_mirrors_the_prometheus_families(self):
+        document = json.loads(to_json(self._fold()))
         by_name = {metric["name"]: metric for metric in document["metrics"]}
-        assert by_name["repro_jobs_total"]["type"] == "counter"
-        assert by_name["repro_jobs_total"]["samples"][0]["value"] == 3
-        hist = by_name["repro_dur_seconds"]["samples"][0]
+        assert by_name["repro_counter_total"]["type"] == "counter"
+        assert by_name["repro_counter_total"]["samples"][0]["value"] == 3
+        hist = by_name["repro_span_seconds"]["samples"][0]
         assert hist["count"] == 3 and "p95" in hist
-        # to_json round-trips
-        assert json.loads(to_json(self._registry()))["metrics"]
+        assert [metric["name"] for metric in document["metrics"]] == [
+            line.split()[2]
+            for line in to_prometheus(self._fold()).splitlines()
+            if line.startswith("# TYPE ")
+        ]
 
 
 class TestResourceSampling:
@@ -365,7 +310,7 @@ class TestWorkerUtilization:
         ]
 
     def test_folds_busy_jobs_and_queue_wait(self):
-        summary = worker_utilization(self._events())
+        summary = worker_utilization(fold_events(self._events()))
         assert summary["jobs"] == 3
         by_pid = {row["pid"]: row for row in summary["workers"]}
         assert by_pid["101"]["jobs"] == 2
@@ -380,11 +325,11 @@ class TestWorkerUtilization:
         assert summary["queue_wait"]["max"] == pytest.approx(0.3)
 
     def test_none_without_worker_attribution(self):
-        assert worker_utilization([_span("simulate", 1.0)]) is None
-        assert worker_utilization([]) is None
+        assert worker_utilization(fold_events([_span("simulate", 1.0)])) is None
+        assert worker_utilization(fold_events([])) is None
 
     def test_render_worker_table(self):
-        rendered = render_worker_table(worker_utilization(self._events()))
+        rendered = render_worker_table(worker_utilization(fold_events(self._events())))
         assert "workers (process-pool attribution)" in rendered
         assert "101" in rendered and "102" in rendered
         assert "imbalance 1.50x" in rendered
@@ -415,7 +360,7 @@ class TestWorkerUtilization:
         with activated(TelemetrySession([mem])):
             with make_backend("processes", workers=2) as backend:
                 backend.run(specs)
-        summary = worker_utilization(mem.records)
+        summary = worker_utilization(fold_events(mem.records))
         assert summary is not None
         assert summary["jobs"] == 3
         assert summary["queue_wait"]["count"] == 3
@@ -554,8 +499,7 @@ class TestObserveFingerprintInvariance:
             store = ResultsStore(tmp_path / f"{backend}-{mode}")
             if mode == "on":
                 session = TelemetrySession(
-                    [MemorySink(), RegistrySink(),
-                     JsonlSink(tmp_path / f"{backend}.jsonl")]
+                    [MemorySink(), JsonlSink(tmp_path / f"{backend}.jsonl")]
                 )
                 sampler = ResourceSampler(session, interval=0.01)
             else:
@@ -617,6 +561,82 @@ class TestSummarizeSatellites:
         assert summary["runs"] == ["secondrun"]
         with pytest.raises(SystemExit):
             main(["telemetry", "summarize", str(path), "--run", "zzz"])
+
+    def test_ambiguous_run_prefix_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        for run_id in ("firstrun", "fastrun"):
+            session = TelemetrySession([JsonlSink(path)], run_id=run_id)
+            with session.span("sweep", kind="root", backend="serial"):
+                pass
+            session.close()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry", "summarize", str(path), "--run", "f"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "ambiguous" in error
+        assert "fastrun" in error and "firstrun" in error
+        assert main(["telemetry", "summarize", str(path), "--run", "fi",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == ["firstrun"]
+
+    def test_a_full_run_id_is_never_ambiguous(self):
+        events = [{"run": "run1", "ev": "session_start"},
+                  {"run": "run10", "ev": "session_start"}]
+        assert filter_events(events, runs=["run1"]) == events[:1]
+        with pytest.raises(ValueError, match="run1, run10"):
+            filter_events(events, runs=["run"])
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"ev": "span", "run": "aaa", "name": "simulate", "dur": "n/a",
+             "attrs": {"kind": "phase", "backend": "serial"}},
+            {"ev": "counter", "run": "aaa", "name": "slots", "value": "n/a"},
+            {"ev": "session_end", "run": "aaa", "elapsed_seconds": "n/a"},
+            {"ev": "span", "run": "aaa", "name": "simulate", "dur": None},
+            {"ev": "counter", "run": "aaa", "name": "slots", "value": "inf"},
+            {"ev": "session_end", "run": "aaa", "elapsed_seconds": float("nan")},
+        ],
+    )
+    def test_records_with_malformed_numbers_are_skipped(
+        self, tmp_path, capsys, malformed
+    ):
+        path = tmp_path / "t.jsonl"
+        session = TelemetrySession([JsonlSink(path)], run_id="goodrun")
+        with session.span("sweep", kind="root", backend="serial"):
+            session.span_record("simulate", 0.25, kind="phase", backend="serial")
+        session.counter("slots", 7, backend="serial")
+        session.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(malformed) + "\n")
+        fold = fold_events(read_events(path))
+        assert fold.runs == ("goodrun",)
+        assert fold.counters == {("slots", "serial"): 7.0}
+        assert fold.spans[("simulate", "phase", "serial")].values == (0.25,)
+        assert fold.sessions == {"start": 1, "end": 1}
+        for argv in (
+            ["telemetry", "summarize", str(path)],
+            ["telemetry", "summarize", str(path), "--json"],
+            ["report", "metrics", str(path)],
+            ["report", "metrics", str(path), "--format", "json"],
+            ["report", "html", "--telemetry", str(path),
+             "--store", str(tmp_path / "no-store")],
+        ):
+            assert main(argv) == 0
+            assert "slots" in capsys.readouterr().out
+
+    def test_views_accept_a_one_shot_iterator(self):
+        from repro.telemetry import iter_events, summarize_events
+
+        stream = Path(__file__).resolve().parent / "golden" / "telemetry.jsonl"
+        events = read_events(stream)
+        assert summarize_events(iter_events(stream)) == summarize_events(events)
+        assert render_html_report(events=iter(events)) == render_html_report(
+            events=events
+        )
+        one_shot = iter(events)
+        fold_events(one_shot)
+        assert next(one_shot, None) is None  # the fold consumed it, once
 
     def test_span_tables_carry_p50_p95(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
@@ -701,8 +721,7 @@ class TestSigkillDuringSampling:
                 and record.get("name") == "resource_sample"
             ]
             assert samples, "observed samples must survive the kill"
-            registry = fold_events(events)
-            assert registry.get("repro_resource_rss_bytes") is not None
+            assert fold_events(events).resources["rss_bytes"]
 
 
 class TestPerfCli:
