@@ -350,10 +350,12 @@ class ProcessPoolBackend(ExecutionBackend):
             if tele.enabled:
                 # Workers time themselves on CLOCK_MONOTONIC, which is
                 # system-wide on Linux, so queue-wait (submit → worker
-                # start) and run time are directly comparable.
+                # start), run time and the span's end on the session's
+                # clock are directly comparable.
                 tele.span_record(
                     "simulate",
                     ended - started,
+                    ended,
                     kind="phase",
                     backend=self.name,
                     job=index,

@@ -16,7 +16,9 @@ The fold rules, one per event kind:
 
 * ``span`` → durations keyed by ``(name, kind, backend)``; a span with a
   ``worker_pid`` attribute also feeds that pid's busy time, job count,
-  queue wait and the pool's wall-clock window;
+  queue wait, the pool's wall-clock window, and the pool's busy wall
+  clock: the union of the ``[ts - dur, ts]`` intervals of its session's
+  attributed spans (``ts`` restarts at 0 in each session of a file);
 * ``counter`` → totals keyed by ``(name, backend)``;
 * ``event`` → counts and spec-prefix sets keyed by ``(name, reason)``;
   a ``resource_sample`` event also sets the last-value resource gauges
@@ -55,6 +57,16 @@ def running_total(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def _union_length(intervals: Iterable[tuple[float, float]]) -> float:
+    """Total length covered by at least one of ``intervals``."""
+    covered, reached = 0.0, -math.inf
+    for start, end in sorted(intervals):
+        if end > reached:
+            covered += end - max(start, reached)
+            reached = end
+    return covered
 
 
 def _number(raw: Any) -> float | None:
@@ -127,6 +139,9 @@ class TelemetryFold:
     queue_waits: tuple[float, ...]
     #: Earliest attributed span start and latest end (``None`` without workers).
     window: tuple[float, float] | None
+    #: Wall-clock seconds in which at least one worker ran, summed over
+    #: sessions: concurrent jobs count once, as phase coverage needs.
+    pool_seconds: float
 
 
 def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
@@ -146,6 +161,7 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
     workers: dict[str, list[Any]] = {}
     queue_waits: list[float] = []
     window: tuple[float, float] | None = None
+    pool_intervals: dict[str, list[tuple[float, float]]] = {}
     for record in events:
         kind = record.get("ev")
         field = _NUMERIC_FIELD.get(kind)
@@ -175,6 +191,7 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
                     queue_waits.append(wait)
                 ended = _number(record.get("ts")) or 0.0
                 started = ended - number
+                pool_intervals.setdefault(str(run), []).append((started, ended))
                 window = (
                     (started, ended)
                     if window is None
@@ -225,4 +242,5 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
         workers={pid: Worker(jobs, busy) for pid, (jobs, busy) in workers.items()},
         queue_waits=tuple(queue_waits),
         window=window,
+        pool_seconds=running_total(map(_union_length, pool_intervals.values())),
     )

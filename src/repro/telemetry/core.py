@@ -121,7 +121,9 @@ class NullSession:
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def span_record(self, name: str, duration: float, **attrs: Any) -> None:
+    def span_record(
+        self, name: str, duration: float, ended: float | None = None, **attrs: Any
+    ) -> None:
         pass
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:
@@ -224,15 +226,17 @@ class TelemetrySession:
         for sink in self._sinks:
             sink.emit(record)
 
-    def _emit_span(self, name: str, duration: float, attrs: dict[str, Any]) -> None:
-        self._emit(
-            {
-                "ev": "span",
-                "name": name,
-                "dur": round(duration, 6),
-                "attrs": attrs,
-            }
-        )
+    def _emit_span(
+        self,
+        name: str,
+        duration: float,
+        attrs: dict[str, Any],
+        ended: float | None = None,
+    ) -> None:
+        record = {"ev": "span", "name": name, "dur": round(duration, 6), "attrs": attrs}
+        if ended is not None:
+            record["ts"] = round(ended - self._t0, 6)
+        self._emit(record)
 
     # -- Public API ---------------------------------------------------------
 
@@ -240,9 +244,17 @@ class TelemetrySession:
         """A context manager timing one region (see :class:`Span`)."""
         return Span(self, name, attrs)
 
-    def span_record(self, name: str, duration: float, **attrs: Any) -> None:
-        """Record an externally-timed span (e.g. measured in a pool worker)."""
-        self._emit_span(name, float(duration), attrs)
+    def span_record(
+        self, name: str, duration: float, ended: float | None = None, **attrs: Any
+    ) -> None:
+        """Record an externally-timed span (e.g. measured in a pool worker).
+
+        ``ended`` is the ``time.monotonic()`` reading at which the span
+        ended; it stamps the span's ``ts`` on this session's clock, so a
+        span reported after the fact still sits where it ran.  Without
+        it, ``ts`` is the moment of recording.
+        """
+        self._emit_span(name, float(duration), attrs, ended)
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:
         """Accumulate ``value`` under ``name`` (summed by the summarizer)."""

@@ -141,7 +141,12 @@ def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
         if (name, reason) in fold.event_specs:
             event_specs.setdefault(label, set()).update(fold.event_specs[name, reason])
 
+    # Pool jobs run concurrently, so their summed busy time can exceed the
+    # wall clock it spans; coverage counts them by the union of their
+    # intervals instead (the phase table keeps the summed busy time).
+    pool_busy = running_total(worker.busy_seconds for worker in fold.workers.values())
     phase_total = running_total(row["total"] for row in rows["phases"])
+    phase_total += fold.pool_seconds - pool_busy
     root_total = running_total(row["total"] for row in rows["roots"])
     summary: dict[str, Any] = {
         "runs": list(fold.runs),

@@ -335,6 +335,35 @@ class TestWorkerUtilization:
         assert "imbalance 1.50x" in rendered
         assert "queue wait" in rendered
 
+    def test_pool_spans_cover_by_the_union_of_their_intervals(self):
+        from repro.telemetry import summarize_events
+
+        def run(run_id, *records):
+            return [dict(record, run=run_id) for record in records]
+
+        events = run(
+            "one",
+            _span("build", 0.5, ts=0.5),
+            # Overlapping jobs on two workers: [0.5, 2.0] and [1.5, 2.5].
+            _span("simulate", 1.5, backend="processes", ts=2.0, worker_pid=1),
+            _span("simulate", 1.0, backend="processes", ts=2.5, worker_pid=2),
+            _span("sweep", 4.0, kind="root", ts=4.0),
+        ) + run(
+            # ts restarts at 0 in the next session of the file: [0.0, 1.0]
+            # overlaps session one's intervals only if sessions are merged.
+            "two",
+            _span("simulate", 1.0, backend="processes", ts=1.0, worker_pid=3),
+            _span("sweep", 3.0, kind="root", ts=3.0),
+        )
+        assert fold_events(events).pool_seconds == 3.0  # 2.0 + 1.0
+        summary = summarize_events(events)
+        # build 0.5 + union 2.0 + union 1.0 over roots 4.0 + 3.0.
+        assert summary["phase_seconds"] == 3.5
+        assert summary["coverage"] == 0.5
+        # The phase table still sums busy time: 1.5 + 1.0 + 1.0.
+        (pool_row,) = [row for row in summary["phases"] if row["backend"] == "processes"]
+        assert pool_row["total"] == 3.5
+
     def test_unit_imbalance_edges(self):
         assert unit_imbalance([]) is None
         assert unit_imbalance([5.0]) is None
@@ -364,6 +393,11 @@ class TestWorkerUtilization:
         assert summary is not None
         assert summary["jobs"] == 3
         assert summary["queue_wait"]["count"] == 3
+        # Spans carry the worker's end time, so the window envelops every
+        # job and no worker is busier than the window is long.
+        assert all(
+            row["busy_fraction"] <= 1.0 + 1e-6 for row in summary["workers"]
+        )
 
     def test_campaign_status_reports_unit_imbalance(self, tmp_path):
         store = ResultsStore(tmp_path / "s")
