@@ -1,14 +1,14 @@
 """Shared infrastructure for the benchmark suite.
 
-Each benchmark regenerates one of the paper-claim experiments (see DESIGN.md
-section 3).  The experiment functions are deterministic given their seed
+Each benchmark regenerates one of the paper-claim experiments (see the
+README's "Experiments" section).  The experiment functions are deterministic given their seed
 list, so every benchmark runs its experiment exactly once
 (``benchmark.pedantic(rounds=1)``): the interesting output is the table of
 measurements, not the wall-clock time, although pytest-benchmark still
 records the latter.
 
 Every benchmark writes its rendered report to ``benchmarks/results/<id>.txt``
-so that EXPERIMENTS.md can be refreshed from an actual run.
+so that every table can be refreshed from an actual run.
 """
 
 from __future__ import annotations

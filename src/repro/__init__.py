@@ -14,8 +14,8 @@ Quickstart::
     )
     print(result.throughput, result.energy_statistics().mean_accesses)
 
-See README.md for an architecture overview and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction results.
+See README.md: its "Architecture" section for an overview and its
+"Experiments" section for the paper-claim-by-claim reproduction index.
 """
 
 from repro.adversary import (

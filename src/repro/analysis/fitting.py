@@ -12,7 +12,7 @@ the models are compared by residual error on held-in data:
 
 ``select_scaling_model`` returns the best model by mean squared error with a
 mild complexity penalty, and the experiments report both the winner and the
-fitted exponents, which is how EXPERIMENTS.md phrases its verdicts
+fitted exponents, which is how the experiment verdicts are phrased
 ("accesses/packet fit ln^3.1(N), far below the linear fit").
 """
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -188,6 +188,15 @@ def quantile(values: Sequence[float], q: float) -> float:
         return float(ordered[lower])
     weight = position - lower
     return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
+
+
+def running_total(values: Iterable[float]) -> float:
+    """Left-to-right float sum (3.12's ``sum`` compensates; this never does),
+    so a total is the same on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def describe(values: Sequence[float]) -> dict[str, float]:

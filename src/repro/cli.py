@@ -107,8 +107,8 @@ Subcommands:
 
     ``html`` renders a self-contained single-file dashboard (SVG
     sparklines, phase wall-clock bars, counter/utilization tables, perf
-    history) for a run or campaign; ``metrics`` folds telemetry into the
-    typed registry and exports it as Prometheus text exposition or JSON.
+    history) for a run or campaign; ``metrics`` folds telemetry once and
+    exports the fold as Prometheus text exposition or JSON.
 
 ``dynamics``
     Windowed simulation-dynamics trajectories (:mod:`repro.dynamics`).
@@ -751,10 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_metrics = report_sub.add_parser(
         "metrics",
-        help=(
-            "fold a telemetry JSONL file into the typed metrics registry "
-            "and export it"
-        ),
+        help="fold a telemetry JSONL file once and export the metrics",
     )
     report_metrics.add_argument(
         "telemetry", metavar="PATH", help="JSONL file written by --telemetry"

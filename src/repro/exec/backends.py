@@ -355,7 +355,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 tele.span_record(
                     "simulate",
                     ended - started,
-                    ended,
+                    ended=ended,
                     kind="phase",
                     backend=self.name,
                     job=index,

@@ -2,33 +2,14 @@
 
 ``to_prometheus`` renders a :class:`~repro.observe.registry.TelemetryFold`
 in the Prometheus text exposition format (version 0.0.4), the document
-``report metrics`` prints.  Conformance points the tests pin down:
-
-* every metric family gets exactly one ``# HELP`` and one ``# TYPE`` line;
-* metric names match ``[a-zA-Z_:][a-zA-Z0-9_:]*``;
-* label values escape backslash, double-quote and newline per the spec;
-* span durations and session lifetimes export as the ``summary``
-  exposition type — quantile series (``{quantile="0.5"}`` …) plus
-  ``_sum``/``_count`` — because the fold keeps exact observations rather
-  than fixed buckets.
-
-The families, one per fold field:
-
-* ``repro_span_seconds`` — span durations by ``name``/``kind``/``backend``;
-* ``repro_counter_total`` — counter totals by ``name``/``backend``;
-* ``repro_events_total`` — point events by ``name``/``reason`` (resource
-  samples excepted: they feed the gauges below);
-* ``repro_sessions_total`` and ``repro_session_seconds`` — sessions
-  opened/closed and their lifetimes;
-* ``repro_resource_{rss_bytes,cpu_seconds,open_fds}`` — last sampled
-  value per ``pid``/``source``, and ``repro_resource_rss_peak_bytes``, the
-  RSS high-water mark.
-
-The first four families always appear; the others appear when the
-stream holds their samples.  ``to_json`` is the same content as a
-structured document (one entry per family with type, help, and labelled
-samples), for dashboards and tests that would rather not parse the text
-format.
+``report metrics`` prints: one ``# HELP``/``# TYPE`` pair per family,
+names matching ``[a-zA-Z_:][a-zA-Z0-9_:]*``, label values escaping
+backslash, double-quote and newline, and distributions exported as
+``summary`` families (``{quantile="0.5"}`` … plus ``_sum``/``_count``)
+because the fold keeps exact observations rather than buckets.  The span,
+counter, event and session-count families always appear; session
+lifetimes and resource gauges appear when the stream holds them.
+``to_json`` is the same content as a structured document.
 """
 
 from __future__ import annotations
@@ -37,7 +18,8 @@ import json
 import re
 from typing import Any
 
-from repro.observe.registry import Distribution, TelemetryFold
+from repro.analysis.statistics import quantile, running_total
+from repro.observe.registry import TelemetryFold
 
 #: Prometheus metric-name grammar.
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -45,87 +27,55 @@ METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 #: Quantiles every distribution exports, in export order.
 HISTOGRAM_QUANTILES = (0.5, 0.95, 0.99)
 
-#: Resource attribute → gauge family name and help text.
-_RESOURCE_GAUGES = {
-    "rss_bytes": ("repro_resource_rss_bytes", "Resident set size"),
-    "cpu_seconds": ("repro_resource_cpu_seconds", "Cumulative process CPU time"),
-    "fds": ("repro_resource_open_fds", "Open file descriptors"),
-}
+#: Resource gauge families: (name, help, fold attribute or ``None`` for the peak).
+_RESOURCE_GAUGES = (
+    ("repro_resource_cpu_seconds", "Cumulative process CPU time", "cpu_seconds"),
+    ("repro_resource_open_fds", "Open file descriptors", "fds"),
+    ("repro_resource_rss_bytes", "Resident set size", "rss_bytes"),
+    ("repro_resource_rss_peak_bytes", "High-water resident set size", None),
+)
 
-Samples = list[tuple[dict[str, str], "float | Distribution"]]
+# A sample's value is a number, or a tuple of observations for a distribution.
+Family = tuple[str, str, str, list[tuple[dict[str, str], Any]]]
 
 
-def _families(fold: TelemetryFold) -> list[tuple[str, str, str, Samples]]:
-    """``(name, type, help, samples)`` per metric family, sorted by name."""
-
-    def by_process(values: dict[tuple[str, str], float]) -> Samples:
-        return [({"pid": pid, "source": source}, value) for (pid, source), value in values.items()]
-
-    families: list[tuple[str, str, str, Samples]] = [
-        (
-            "repro_span_seconds",
-            "histogram",
-            "Telemetry span durations by name/kind/backend",
-            [
-                ({"name": name, "kind": kind, "backend": backend}, durations)
-                for (name, kind, backend), durations in fold.spans.items()
-            ],
-        ),
-        (
-            "repro_counter_total",
-            "counter",
-            "Telemetry counter totals by name/backend",
-            [
-                ({"name": name, "backend": backend}, value)
-                for (name, backend), value in fold.counters.items()
-            ],
-        ),
-        (
-            "repro_events_total",
-            "counter",
-            "Telemetry point events by name/reason",
-            [
-                ({"name": name, "reason": "-" if reason is None else reason}, float(count))
-                for (name, reason), count in fold.events.items()
-                if name != "resource_sample"
-            ],
-        ),
-        (
-            "repro_sessions_total",
-            "counter",
-            "Telemetry sessions opened/closed",
-            [({"phase": phase}, float(count)) for phase, count in fold.sessions.items()],
-        ),
+def _families(fold: TelemetryFold) -> list[Family]:
+    """``(name, type, help, [(labels, value)])`` per metric family, by name."""
+    families: list[Family] = [
+        ("repro_counter_total", "counter", "Telemetry counter totals by name/backend", [
+            ({"backend": backend, "name": name}, value)
+            for (name, backend), value in fold.counters.items()
+        ]),
+        ("repro_events_total", "counter", "Telemetry point events by name/reason", [
+            ({"name": name, "reason": "-" if reason is None else reason}, float(count))
+            for (name, reason), count in fold.events.items()
+            if name != "resource_sample"  # those feed the resource gauges
+        ]),
+        ("repro_sessions_total", "counter", "Telemetry sessions opened/closed", [
+            ({"phase": phase}, float(count)) for phase, count in fold.sessions.items()
+        ]),
+        ("repro_span_seconds", "histogram", "Telemetry span durations by name/kind/backend", [
+            ({"backend": backend, "kind": kind, "name": name}, durations)
+            for (name, kind, backend), durations in fold.spans.items()
+        ]),
     ]
-    if fold.session_seconds is not None:
-        families.append(
-            (
-                "repro_session_seconds",
-                "histogram",
-                "Telemetry session lifetimes",
-                [({}, fold.session_seconds)],
-            )
-        )
-    for attr, (name, help_text) in _RESOURCE_GAUGES.items():
-        if fold.resources[attr]:
-            families.append((name, "gauge", help_text, by_process(fold.resources[attr])))
-    if fold.rss_peak:
-        families.append(
-            (
-                "repro_resource_rss_peak_bytes",
-                "gauge",
-                "High-water resident set size",
-                by_process(fold.rss_peak),
-            )
-        )
+    if fold.session_seconds:
+        families.append(("repro_session_seconds", "histogram",
+                         "Telemetry session lifetimes", [({}, fold.session_seconds)]))
+    for name, help_text, attr in _RESOURCE_GAUGES:
+        values = fold.resources[attr] if attr else fold.rss_peak
+        if values:
+            samples = [({"pid": pid, "source": source}, value)
+                       for (pid, source), value in values.items()]
+            families.append((name, "gauge", help_text, samples))
     return sorted(families, key=lambda family: family[0])
 
 
-def _stats(durations: Distribution) -> dict[str, float]:
+def _stats(values: tuple[float, ...]) -> dict[str, float]:
     """The exported shape of one distribution sample."""
-    stats = {"count": float(durations.count), "sum": durations.total}
+    stats = {"count": float(len(values)), "sum": running_total(values)}
     for q in HISTOGRAM_QUANTILES:
-        stats[f"p{int(q * 100)}"] = durations.quantile(q)
+        stats[f"p{int(q * 100)}"] = quantile(values, q)
     return stats
 
 
@@ -134,22 +84,11 @@ def escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _escape_help(text: str) -> str:
-    """HELP lines escape backslash and newline (but not quotes)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _render_labels(labels: dict[str, str], extra: dict[str, str] | None = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
+def _render_labels(labels: dict[str, str]) -> str:
     body = ",".join(
-        f'{name}="{escape_label_value(value)}"'
-        for name, value in sorted(merged.items())
+        f'{name}="{escape_label_value(value)}"' for name, value in sorted(labels.items())
     )
-    return "{" + body + "}"
+    return "{" + body + "}" if body else ""
 
 
 def _render_value(value: float) -> str:
@@ -166,22 +105,19 @@ def to_prometheus(fold: TelemetryFold) -> str:
     """Render the fold as a text-format exposition document."""
     lines: list[str] = []
     for name, metric_type, help_text, samples in _families(fold):
-        exposition_type = "summary" if metric_type == "histogram" else metric_type
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} {exposition_type}")
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {'summary' if metric_type == 'histogram' else metric_type}")
         for labels, value in samples:
-            if isinstance(value, Distribution):
-                stats = _stats(value)
-                for q in HISTOGRAM_QUANTILES:
-                    rendered = _render_labels(labels, {"quantile": str(q)})
-                    lines.append(
-                        f"{name}{rendered} {_render_value(stats[f'p{int(q * 100)}'])}"
-                    )
-                lines.append(f"{name}_sum{_render_labels(labels)} {_render_value(stats['sum'])}")
-                lines.append(f"{name}_count{_render_labels(labels)} {_render_value(stats['count'])}")
-            else:
+            if not isinstance(value, tuple):
                 lines.append(f"{name}{_render_labels(labels)} {_render_value(value)}")
-    return "\n".join(lines) + "\n" if lines else ""
+                continue
+            stats = _stats(value)
+            for q in HISTOGRAM_QUANTILES:
+                rendered = _render_labels({**labels, "quantile": str(q)})
+                lines.append(f"{name}{rendered} {_render_value(stats[f'p{int(q * 100)}'])}")
+            lines.append(f"{name}_sum{_render_labels(labels)} {_render_value(stats['sum'])}")
+            lines.append(f"{name}_count{_render_labels(labels)} {_render_value(stats['count'])}")
+    return "\n".join(lines) + "\n"
 
 
 def to_json(fold: TelemetryFold, *, indent: int | None = 2) -> str:
@@ -192,14 +128,8 @@ def to_json(fold: TelemetryFold, *, indent: int | None = 2) -> str:
             "type": metric_type,
             "help": help_text,
             "samples": [
-                {
-                    "labels": dict(sorted(labels.items())),
-                    **(
-                        _stats(value)
-                        if isinstance(value, Distribution)
-                        else {"value": float(value)}
-                    ),
-                }
+                {"labels": labels,
+                 **(_stats(value) if isinstance(value, tuple) else {"value": float(value)})}
                 for labels, value in samples
             ],
         }

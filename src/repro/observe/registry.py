@@ -1,39 +1,20 @@
 """The one fold of a telemetry event stream.
 
-:mod:`repro.telemetry` records *what happened* as a flat event stream.
-:func:`fold_events` reads that stream once — a list, a JSONL file's
-:func:`~repro.telemetry.summarize.iter_events`, or any one-shot
-iterator — into a frozen :class:`TelemetryFold`.  Every observability
-view renders that model and nothing else:
-
-* ``telemetry summarize`` text and ``--json``
-  (:func:`repro.telemetry.summarize.summarize_fold`);
-* the worker table (:func:`repro.observe.workers.worker_utilization`);
-* ``report metrics`` Prometheus and JSON (:mod:`repro.observe.export`);
-* the ``report html`` telemetry sections (:mod:`repro.observe.report`).
-
-The fold rules, one per event kind:
-
-* ``span`` → durations keyed by ``(name, kind, backend)``; a span with a
-  ``worker_pid`` attribute also feeds that pid's busy time, job count,
-  queue wait, the pool's wall-clock window, and the pool's busy wall
-  clock: the union of the ``[ts - dur, ts]`` intervals of its session's
-  attributed spans (``ts`` restarts at 0 in each session of a file);
-* ``counter`` → totals keyed by ``(name, backend)``;
-* ``event`` → counts and spec-prefix sets keyed by ``(name, reason)``;
-  a ``resource_sample`` event also sets the last-value resource gauges
-  of its ``(pid, source)``, their RSS peak, and the parent RSS series;
-* ``session_start``/``session_end`` → session counts and lifetimes;
-* ``progress`` is live-rendering state and folds to nothing.
+:func:`fold_events` reads a stream (a list, a JSONL file's
+:func:`~repro.telemetry.summarize.iter_events`, any one-shot iterator)
+once into a frozen :class:`TelemetryFold`.  Every observability view
+renders that model and nothing else: ``telemetry summarize`` text and
+``--json`` (:func:`repro.telemetry.summarize.summarize_fold`), the
+worker table (:mod:`repro.observe.workers`), ``report metrics``
+(:mod:`repro.observe.export`) and the ``report html`` telemetry sections
+(:mod:`repro.observe.report`).  ``progress`` events are live-rendering
+state and fold to nothing.
 
 A record whose ``dur``, ``value`` or ``elapsed_seconds`` is not a finite
-number is skipped whole, as :func:`~repro.telemetry.summarize.iter_events`
-skips a malformed line: a view of most of a file beats no view.  Totals
-are left-to-right sums in record order on every Python version.
-
-The fold only ever *reads* already-emitted events; it never touches the
-simulation's RNG streams or results, so it cannot move a store
-fingerprint.
+number is skipped whole, as a malformed line is: a view of most of a
+file beats no view.  Sums run left to right in record order on every
+Python version.  The fold only *reads* already-emitted events, so it
+cannot move a store fingerprint.
 """
 
 from __future__ import annotations
@@ -42,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.analysis.statistics import quantile
+from repro.analysis.statistics import running_total
 
 #: Resource-sample attributes folded into last-value gauges.
 RESOURCE_ATTRS = ("rss_bytes", "cpu_seconds", "fds")
@@ -50,13 +31,7 @@ RESOURCE_ATTRS = ("rss_bytes", "cpu_seconds", "fds")
 #: The numeric field a record of each kind must carry to be folded.
 _NUMERIC_FIELD = {"span": "dur", "counter": "value", "session_end": "elapsed_seconds"}
 
-
-def running_total(values: Iterable[float]) -> float:
-    """Left-to-right float sum (3.12's ``sum`` compensates; this never does)."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+Process = tuple[str, str]  # (pid, source)
 
 
 def _union_length(intervals: Iterable[tuple[float, float]]) -> float:
@@ -79,44 +54,12 @@ def _number(raw: Any) -> float | None:
 
 
 @dataclass(frozen=True)
-class Distribution:
-    """Observations of one key in record order, with their total."""
-
-    values: tuple[float, ...]
-    total: float
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "Distribution":
-        values = tuple(values)
-        return cls(values, running_total(values))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def quantile(self, q: float) -> float:
-        return quantile(self.values, q)
-
-
-@dataclass(frozen=True)
-class Worker:
-    """One pool worker's share of the attributed spans."""
-
-    jobs: int
-    busy_seconds: float
-
-
-@dataclass(frozen=True)
 class TelemetryFold:
-    """Everything the observability views show, from one pass.
+    """Everything the observability views show; mappings keep first-seen order."""
 
-    Every mapping keeps its keys in first-seen order.
-    """
-
-    #: Correlation ids, in first-seen order.
     runs: tuple[str, ...]
-    #: ``(name, kind, backend)`` → span durations.
-    spans: Mapping[tuple[str, str, str], Distribution]
+    #: ``(name, kind, backend)`` → span durations in record order.
+    spans: Mapping[tuple[str, str, str], tuple[float, ...]]
     #: ``(name, backend)`` → counter total.
     counters: Mapping[tuple[str, str], float]
     #: ``(name, reason)`` → event count (``reason`` is ``None`` when absent).
@@ -125,22 +68,23 @@ class TelemetryFold:
     event_specs: Mapping[tuple[str, str | None], frozenset[str]]
     #: ``"start"``/``"end"`` → session count.
     sessions: Mapping[str, int]
-    #: ``session_end`` lifetimes (``None`` when no session ended).
-    session_seconds: Distribution | None
+    #: ``session_end`` lifetimes in record order.
+    session_seconds: tuple[float, ...]
     #: resource attribute → ``(pid, source)`` → last sampled value.
-    resources: Mapping[str, Mapping[tuple[str, str], float]]
+    resources: Mapping[str, Mapping[Process, float]]
     #: ``(pid, source)`` → highest sampled RSS.
-    rss_peak: Mapping[tuple[str, str], float]
-    #: The parent process's RSS samples, in record order.
+    rss_peak: Mapping[Process, float]
+    #: The parent process's RSS samples in record order.
     parent_rss: tuple[float, ...]
-    #: worker pid → its jobs and busy seconds.
-    workers: Mapping[str, Worker]
-    #: Pool queue waits (submission → worker start), in record order.
+    #: worker pid → ``(jobs, busy seconds)`` of its ``worker_pid`` spans.
+    workers: Mapping[str, tuple[int, float]]
+    #: Pool queue waits (submission → worker start) in record order.
     queue_waits: tuple[float, ...]
-    #: Earliest attributed span start and latest end (``None`` without workers).
+    #: Earliest worker span start and latest end (``None`` without workers).
     window: tuple[float, float] | None
-    #: Wall-clock seconds in which at least one worker ran, summed over
-    #: sessions: concurrent jobs count once, as phase coverage needs.
+    #: Seconds in which at least one worker ran: the union of the
+    #: ``[ts - dur, ts]`` intervals of each session's worker spans (``ts``
+    #: restarts at 0 per session), summed over sessions.
     pool_seconds: float
 
 
@@ -149,19 +93,17 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
     runs: list[str] = []
     spans: dict[tuple[str, str, str], list[float]] = {}
     counters: dict[tuple[str, str], float] = {}
-    event_counts: dict[tuple[str, str | None], int] = {}
-    event_specs: dict[tuple[str, str | None], set[str]] = {}
+    counts: dict[tuple[str, str | None], int] = {}
+    specs: dict[tuple[str, str | None], set[str]] = {}
     sessions: dict[str, int] = {}
     lifetimes: list[float] = []
-    resources: dict[str, dict[tuple[str, str], float]] = {
-        attr: {} for attr in RESOURCE_ATTRS
-    }
-    rss_peak: dict[tuple[str, str], float] = {}
+    resources: dict[str, dict[Process, float]] = {attr: {} for attr in RESOURCE_ATTRS}
+    rss_peak: dict[Process, float] = {}
     parent_rss: list[float] = []
-    workers: dict[str, list[Any]] = {}
+    workers: dict[str, tuple[int, float]] = {}
     queue_waits: list[float] = []
     window: tuple[float, float] | None = None
-    pool_intervals: dict[str, list[tuple[float, float]]] = {}
+    pool: dict[str, list[tuple[float, float]]] = {}
     for record in events:
         kind = record.get("ev")
         field = _NUMERIC_FIELD.get(kind)
@@ -172,44 +114,36 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
         if run and run not in runs:
             runs.append(run)
         attrs = record.get("attrs")
-        if not isinstance(attrs, dict):
-            attrs = {}
+        attrs = attrs if isinstance(attrs, dict) else {}
+        name = str(record.get("name"))
         if kind == "span":
-            key = (
-                str(record.get("name")),
-                str(attrs.get("kind", "phase")),
-                str(attrs.get("backend", "-")),
-            )
+            span_kind = str(attrs.get("kind", "phase"))
+            key = (name, span_kind, str(attrs.get("backend", "-")))
             spans.setdefault(key, []).append(number)
             pid = attrs.get("worker_pid")
             if pid is not None:
-                worker = workers.setdefault(str(pid), [0, 0.0])
-                worker[0] += 1
-                worker[1] += number
+                jobs, busy = workers.get(str(pid), (0, 0.0))
+                workers[str(pid)] = (jobs + 1, busy + number)
                 wait = _number(attrs.get("queue_wait"))
                 if wait is not None:
                     queue_waits.append(wait)
                 ended = _number(record.get("ts")) or 0.0
                 started = ended - number
-                pool_intervals.setdefault(str(run), []).append((started, ended))
-                window = (
-                    (started, ended)
-                    if window is None
-                    else (min(window[0], started), max(window[1], ended))
+                pool.setdefault(str(run), []).append((started, ended))
+                window = (started, ended) if window is None else (
+                    min(window[0], started), max(window[1], ended)
                 )
         elif kind == "counter":
-            key = (str(record.get("name")), str(attrs.get("backend", "-")))
+            key = (name, str(attrs.get("backend", "-")))
             counters[key] = counters.get(key, 0.0) + number
         elif kind == "event":
-            name = str(record.get("name"))
             reason = attrs.get("reason")
             key = (name, None if reason is None else str(reason))
-            event_counts[key] = event_counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
             # Spec-hash prefixes (vector_fallback carries them) name *which*
             # configurations an event row covers, not just how many times.
-            spec = attrs.get("spec")
-            if spec:
-                event_specs.setdefault(key, set()).add(str(spec))
+            if attrs.get("spec"):
+                specs.setdefault(key, set()).add(str(attrs["spec"]))
             if name == "resource_sample":
                 process = (str(attrs.get("pid", "-")), str(attrs.get("source", "-")))
                 for attr in RESOURCE_ATTRS:
@@ -223,24 +157,24 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
                     rss_peak[process] = max(rss, rss_peak.get(process, rss))
                     if attrs.get("source") == "parent":
                         parent_rss.append(rss)
-        elif kind == "session_start":
-            sessions["start"] = sessions.get("start", 0) + 1
-        elif kind == "session_end":
-            sessions["end"] = sessions.get("end", 0) + 1
-            lifetimes.append(number)
+        elif kind in ("session_start", "session_end"):
+            phase = kind[len("session_"):]
+            sessions[phase] = sessions.get(phase, 0) + 1
+            if number is not None:
+                lifetimes.append(number)
     return TelemetryFold(
         runs=tuple(runs),
-        spans={key: Distribution.of(values) for key, values in spans.items()},
+        spans={key: tuple(values) for key, values in spans.items()},
         counters=counters,
-        events=event_counts,
-        event_specs={key: frozenset(specs) for key, specs in event_specs.items()},
+        events=counts,
+        event_specs={key: frozenset(values) for key, values in specs.items()},
         sessions=sessions,
-        session_seconds=Distribution.of(lifetimes) if lifetimes else None,
+        session_seconds=tuple(lifetimes),
         resources=resources,
         rss_peak=rss_peak,
         parent_rss=tuple(parent_rss),
-        workers={pid: Worker(jobs, busy) for pid, (jobs, busy) in workers.items()},
+        workers=workers,
         queue_waits=tuple(queue_waits),
         window=window,
-        pool_seconds=running_total(map(_union_length, pool_intervals.values())),
+        pool_seconds=running_total(map(_union_length, pool.values())),
     )

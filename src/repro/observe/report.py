@@ -24,6 +24,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.observe.perf import regress_groups
 from repro.observe.registry import TelemetryFold, fold_events
+from repro.observe.workers import unit_imbalance, worker_caption
 
 #: Trajectory series drawn per protocol (a readable subset of the full
 #: export; `dynamics export` remains the firehose).
@@ -183,17 +184,10 @@ def _telemetry_sections(fold: TelemetryFold) -> list[str]:
             )
             for row in utilization["workers"]
         ]
-        caption = (
-            f"{utilization['jobs']} job(s) over {len(utilization['workers'])} "
-            f"worker(s) in {utilization['wall_seconds']:.4f}s"
-        )
-        if utilization.get("imbalance"):
-            caption += f"; imbalance {utilization['imbalance']:.2f}x (max/mean busy)"
+        caption = worker_caption(utilization)
         wait = utilization.get("queue_wait")
         if wait:
-            caption += (
-                f"; queue wait p50 {wait['p50']:.4f}s / p95 {wait['p95']:.4f}s"
-            )
+            caption += f"; queue wait p50 {wait['p50']:.4f}s / p95 {wait['p95']:.4f}s"
         sections.append(
             "<h2>Worker utilization</h2>"
             + _table(("pid", "jobs", "busy_s", "busy fraction"), rows, numeric={1, 2, 3})
@@ -204,26 +198,19 @@ def _telemetry_sections(fold: TelemetryFold) -> list[str]:
 
 
 def _resource_sections(fold: TelemetryFold) -> list[str]:
-    columns = {
-        "rss_peak": fold.rss_peak,
-        "cpu_seconds": fold.resources["cpu_seconds"],
-        "fds": fold.resources["fds"],
-    }
-    by_process: dict[tuple[str, str], dict[str, float]] = {}
-    for column, values in columns.items():
-        for process, value in values.items():
-            by_process.setdefault(process, {})[column] = value
-    if not by_process:
+    peak, cpu, fds = fold.rss_peak, fold.resources["cpu_seconds"], fold.resources["fds"]
+    processes = sorted({*peak, *cpu, *fds})
+    if not processes:
         return []
     rows = [
         (
             pid,
             source,
-            f"{cells['rss_peak'] / 1048576:.1f} MiB" if "rss_peak" in cells else "-",
-            f"{cells['cpu_seconds']:.2f}" if "cpu_seconds" in cells else "-",
-            int(cells["fds"]) if "fds" in cells else "-",
+            f"{peak[pid, source] / 1048576:.1f} MiB" if (pid, source) in peak else "-",
+            f"{cpu[pid, source]:.2f}" if (pid, source) in cpu else "-",
+            int(fds[pid, source]) if (pid, source) in fds else "-",
         )
-        for (pid, source), cells in sorted(by_process.items())
+        for pid, source in processes
     ]
     section = "<h2>Resources</h2>" + _table(
         ("pid", "source", "rss peak", "cpu_s", "fds"), rows, numeric={2, 3, 4}
@@ -238,7 +225,6 @@ def _resource_sections(fold: TelemetryFold) -> list[str]:
 
 def _campaign_sections(store: Any, campaign_id: str) -> list[str]:
     from repro.campaigns.runner import CampaignError
-    from repro.observe.workers import unit_imbalance
 
     campaign = store.get_campaign(campaign_id)
     if campaign is None:
@@ -369,11 +355,8 @@ def render_html_report(
     events: Iterable[dict[str, Any]] | None = None,
     title: str | None = None,
 ) -> str:
-    """Assemble the dashboard from whichever inputs are present.
-
-    ``events`` may be any iterable, a one-shot iterator included: it is
-    folded once, and the telemetry sections render that fold.
-    """
+    """Assemble the dashboard from whichever inputs are present
+    (``events`` may be a one-shot iterator: it is folded once)."""
     from repro.observe.perf import host_fingerprint
     from repro.store.store import describe_version
 

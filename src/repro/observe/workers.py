@@ -1,10 +1,9 @@
 """Worker-utilization attribution for pool-backed execution.
 
-:class:`~repro.exec.backends.ProcessPoolBackend` already emits one
-``simulate`` phase span per job with ``worker_pid`` and ``queue_wait``
-attributes (workers time themselves on the system-wide monotonic clock).
-:func:`~repro.observe.registry.fold_events` folds those spans once;
-this module renders the fold's worker share as scaling diagnostics:
+:class:`~repro.exec.backends.ProcessPoolBackend` emits one ``simulate``
+phase span per job with ``worker_pid`` and ``queue_wait`` attributes,
+stamped with the worker's own end time.  This module renders the
+fold's (:func:`~repro.observe.registry.fold_events`) worker share:
 
 * per-pid busy seconds, job count, and busy fraction of the pool's
   wall-clock window;
@@ -24,8 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.analysis.statistics import quantile
-from repro.observe.registry import TelemetryFold, running_total
+from repro.analysis.statistics import quantile, running_total
+from repro.observe.registry import TelemetryFold
 
 
 def worker_utilization(fold: TelemetryFold) -> dict[str, Any] | None:
@@ -37,21 +36,19 @@ def worker_utilization(fold: TelemetryFold) -> dict[str, Any] | None:
     (``ts - dur``) to the latest job end (``ts``) — which is exactly the
     interval during which the pool had work in flight.
     """
-    if not fold.workers or fold.window is None:
+    if fold.window is None:
         return None
     wall = max(fold.window[1] - fold.window[0], 0.0)
-    rows = []
-    for pid, worker in fold.workers.items():
-        busy = round(worker.busy_seconds, 6)
-        rows.append(
-            {
-                "pid": pid,
-                "jobs": worker.jobs,
-                "busy_seconds": busy,
-                "busy_fraction": round(busy / wall, 4) if wall > 0 else None,
-            }
-        )
-    busy_values = [worker.busy_seconds for worker in fold.workers.values()]
+    rows = [
+        {
+            "pid": pid,
+            "jobs": jobs,
+            "busy_seconds": round(busy, 6),
+            "busy_fraction": round(round(busy, 6) / wall, 4) if wall > 0 else None,
+        }
+        for pid, (jobs, busy) in fold.workers.items()
+    ]
+    busy_values = [busy for _jobs, busy in fold.workers.values()]
     mean_busy = running_total(busy_values) / len(busy_values)
     summary: dict[str, Any] = {
         "workers": sorted(rows, key=lambda row: -row["busy_seconds"]),
@@ -87,30 +84,27 @@ def unit_imbalance(unit_seconds: Sequence[float]) -> float | None:
     return round(max(values) / mean, 4)
 
 
-def render_worker_table(summary: dict[str, Any]) -> str:
-    """Aligned text block for ``telemetry summarize``'s workers section."""
-    lines = ["workers (process-pool attribution)"]
-    header = (
-        f"  {'pid':<10} {'jobs':>6} {'busy_s':>10} {'busy_frac':>10}"
-    )
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-    for row in summary["workers"]:
-        fraction = (
-            f"{row['busy_fraction']:10.1%}"
-            if row.get("busy_fraction") is not None
-            else f"{'-':>10}"
-        )
-        lines.append(
-            f"  {row['pid']:<10} {row['jobs']:>6} {row['busy_seconds']:>10.4f} "
-            f"{fraction}"
-        )
+def worker_caption(summary: dict[str, Any]) -> str:
+    """``N job(s) over M worker(s) in Ws``, plus the imbalance when defined."""
     imbalance = summary.get("imbalance")
-    lines.append(
-        f"  {summary['jobs']} job(s) over {len(summary['workers'])} worker(s) "
+    return (
+        f"{summary['jobs']} job(s) over {len(summary['workers'])} worker(s) "
         f"in {summary['wall_seconds']:.4f}s"
         + (f"; imbalance {imbalance:.2f}x (max/mean busy)" if imbalance else "")
     )
+
+
+def render_worker_table(summary: dict[str, Any]) -> str:
+    """Aligned text block for ``telemetry summarize``'s workers section."""
+    header = f"  {'pid':<10} {'jobs':>6} {'busy_s':>10} {'busy_frac':>10}"
+    lines = ["workers (process-pool attribution)", header, "  " + "-" * (len(header) - 2)]
+    for row in summary["workers"]:
+        fraction = row.get("busy_fraction")
+        lines.append(
+            f"  {row['pid']:<10} {row['jobs']:>6} {row['busy_seconds']:>10.4f} "
+            + (f"{fraction:10.1%}" if fraction is not None else f"{'-':>10}")
+        )
+    lines.append("  " + worker_caption(summary))
     wait = summary.get("queue_wait")
     if wait:
         lines.append(

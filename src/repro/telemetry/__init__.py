@@ -25,7 +25,6 @@ from repro.telemetry.summarize import (
     render_summary,
     summarize_events,
     summarize_file,
-    summarize_fold,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "render_summary",
     "summarize_events",
     "summarize_file",
-    "summarize_fold",
 ]

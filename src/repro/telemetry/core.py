@@ -121,9 +121,7 @@ class NullSession:
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def span_record(
-        self, name: str, duration: float, ended: float | None = None, **attrs: Any
-    ) -> None:
+    def span_record(self, name: str, duration: float, **attrs: Any) -> None:
         pass
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:
@@ -247,13 +245,8 @@ class TelemetrySession:
     def span_record(
         self, name: str, duration: float, ended: float | None = None, **attrs: Any
     ) -> None:
-        """Record an externally-timed span (e.g. measured in a pool worker).
-
-        ``ended`` is the ``time.monotonic()`` reading at which the span
-        ended; it stamps the span's ``ts`` on this session's clock, so a
-        span reported after the fact still sits where it ran.  Without
-        it, ``ts`` is the moment of recording.
-        """
+        """Record an externally-timed span (e.g. measured in a pool worker)
+        that ended at monotonic time ``ended`` (default: now)."""
         self._emit_span(name, float(duration), attrs, ended)
 
     def counter(self, name: str, value: float, **attrs: Any) -> None:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.analysis.statistics import quantile
-from repro.observe.registry import TelemetryFold, fold_events, running_total
-from repro.observe.workers import render_worker_table, worker_utilization
+from repro.analysis.statistics import quantile, running_total
+
+if TYPE_CHECKING:  # the views live in repro.observe, imported on use
+    from repro.observe.registry import TelemetryFold
 
 #: The span table each span kind lands in (any other kind is a phase).
 _SPAN_TABLES = {"root": "roots", "unit": "units"}
@@ -33,12 +34,9 @@ _SPAN_TABLES = {"root": "roots", "unit": "units"}
 def iter_events(path: str | Path) -> Iterator[dict[str, Any]]:
     """Stream a telemetry JSONL file one parsed event at a time.
 
-    Reads line-by-line — memory stays flat no matter how large the file
-    grows (a campaign with resource sampling emits tens of thousands of
-    lines) — and tolerates a truncated final line, the expected artifact
-    of a SIGKILL mid-write (see
-    :class:`repro.telemetry.sinks.JsonlSink`).  Malformed interior lines
-    are skipped too: a summary of most of a file beats no summary.
+    Memory stays flat however large the file grows.  A truncated final
+    line (a SIGKILL mid-write, see :class:`repro.telemetry.sinks.JsonlSink`)
+    and malformed interior lines are skipped.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
@@ -74,62 +72,56 @@ def filter_events(
     nothing.
     """
     events = list(events)
-    order: list[str] = []
+    if not runs and not last:
+        return events
+    order: list[Any] = []
     for record in events:
-        run = record.get("run")
-        if run and run not in order:
-            order.append(run)
-    selected: set[str] = set()
+        if record.get("run") and record["run"] not in order:
+            order.append(record["run"])
+    selected = order[-1:] if last else []
     for prefix in runs or ():
         matches = [run for run in order if str(run).startswith(prefix)]
-        if len(matches) > 1 and prefix not in matches:
+        if prefix in matches:
+            matches = [prefix]
+        elif len(matches) > 1:
             raise ValueError(
                 f"run prefix {prefix!r} is ambiguous: it matches "
                 + ", ".join(sorted(map(str, matches)))
             )
-        selected.update([prefix] if prefix in matches else matches)
-    if last and order:
-        selected.add(order[-1])
-    if not runs and not last:
-        return events
+        selected += matches
     return [record for record in events if record.get("run") in selected]
 
 
 def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
-    """The ``telemetry summarize --json`` document of one fold.
-
-    Returns a dict with ``runs`` (correlation ids seen), ``phases`` /
-    ``roots`` / ``units`` span tables keyed by ``(name, backend)``,
-    ``counters`` totals, ``events`` counts keyed by ``name[reason]``,
-    ``coverage`` (phase seconds / root seconds, ``None`` when no root
-    span exists), and ``workers`` when pool-attributed spans exist.
+    """The ``telemetry summarize --json`` document of one fold: ``runs``,
+    ``phases``/``roots``/``units`` span tables by ``(name, backend)``,
+    ``counters``, ``events`` by ``name[reason]``, ``coverage`` (phase /
+    root seconds, ``None`` without roots) and, for pool runs, ``workers``.
     """
-    tables: dict[str, dict[tuple[str, str], list[Any]]] = {
-        "roots": {}, "units": {}, "phases": {}
+    tables: dict[str, dict[tuple[str, str], list[float]]] = {
+        "phases": {}, "roots": {}, "units": {}
     }
     for (name, kind, backend), durations in fold.spans.items():
         table = tables[_SPAN_TABLES.get(kind, "phases")]
-        table.setdefault((name, backend), []).append(durations)
-    rows: dict[str, list[dict[str, Any]]] = {}
-    for title, table in tables.items():
-        rows[title] = []
-        for (name, backend), parts in table.items():
-            durations = [value for part in parts for value in part.values]
-            total = running_total(part.total for part in parts)
-            rows[title].append(
-                {
-                    "name": name,
-                    "backend": backend,
-                    "count": len(durations),
-                    "total": total,
-                    "max": max(durations),
-                    "mean": total / len(durations),
-                    # Same quantile definition the Prometheus export uses
-                    # (linear interpolation, repro.analysis.statistics).
-                    "p50": quantile(durations, 0.5),
-                    "p95": quantile(durations, 0.95),
-                }
-            )
+        table.setdefault((name, backend), []).extend(durations)
+    rows = {
+        title: [
+            {
+                "name": name,
+                "backend": backend,
+                "count": len(durations),
+                "total": running_total(durations),
+                "max": max(durations),
+                "mean": running_total(durations) / len(durations),
+                # Same quantile definition the Prometheus export uses
+                # (linear interpolation, repro.analysis.statistics).
+                "p50": quantile(durations, 0.5),
+                "p95": quantile(durations, 0.95),
+            }
+            for (name, backend), durations in table.items()
+        ]
+        for title, table in tables.items()
+    }
     counters: dict[str, float] = {}
     for (name, _backend), value in fold.counters.items():
         counters[name] = counters.get(name, 0.0) + value
@@ -144,16 +136,13 @@ def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
     # Pool jobs run concurrently, so their summed busy time can exceed the
     # wall clock it spans; coverage counts them by the union of their
     # intervals instead (the phase table keeps the summed busy time).
-    pool_busy = running_total(worker.busy_seconds for worker in fold.workers.values())
+    pool_busy = running_total(busy for _jobs, busy in fold.workers.values())
     phase_total = running_total(row["total"] for row in rows["phases"])
     phase_total += fold.pool_seconds - pool_busy
     root_total = running_total(row["total"] for row in rows["roots"])
     summary: dict[str, Any] = {
         "runs": list(fold.runs),
-        **{
-            title: sorted(rows[title], key=lambda r: -r["total"])
-            for title in ("phases", "roots", "units")
-        },
+        **{title: sorted(table, key=lambda r: -r["total"]) for title, table in rows.items()},
         "counters": dict(sorted(counters.items())),
         "events": dict(sorted(events.items())),
         "event_specs": {
@@ -163,6 +152,8 @@ def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
         "root_seconds": root_total,
         "coverage": phase_total / root_total if root_total > 0 else None,
     }
+    from repro.observe.workers import worker_utilization
+
     workers = worker_utilization(fold)
     if workers is not None:
         summary["workers"] = workers
@@ -171,6 +162,8 @@ def summarize_fold(fold: TelemetryFold) -> dict[str, Any]:
 
 def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Fold ``events`` once and return :func:`summarize_fold`'s document."""
+    from repro.observe.registry import fold_events
+
     return summarize_fold(fold_events(events))
 
 
@@ -181,22 +174,21 @@ def summarize_file(path: str | Path) -> dict[str, Any]:
 
 def render_summary(summary: dict[str, Any]) -> str:
     """Render :func:`summarize_fold` output as aligned text tables."""
-    lines: list[str] = []
-    runs = summary["runs"]
-    lines.append(f"telemetry summary — {len(runs)} session(s): {', '.join(runs) or '-'}")
-    lines.append("")
-
-    def span_table(title: str, rows: list[dict[str, Any]], denom: float) -> None:
-        if not rows:
-            return
-        lines.append(title)
-        header = (
-            f"  {'name':<18} {'backend':<22} {'count':>6} {'total_s':>10} "
-            f"{'mean_s':>10} {'p50_s':>10} {'p95_s':>10} {'max_s':>10} {'share':>7}"
-        )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for row in rows:
+    runs, denom = summary["runs"], summary["root_seconds"]
+    lines = [f"telemetry summary — {len(runs)} session(s): {', '.join(runs) or '-'}", ""]
+    header = (
+        f"  {'name':<18} {'backend':<22} {'count':>6} {'total_s':>10} "
+        f"{'mean_s':>10} {'p50_s':>10} {'p95_s':>10} {'max_s':>10} {'share':>7}"
+    )
+    for title, key in (
+        ("roots (total wall-clock)", "roots"),
+        ("phases (per-phase / per-backend breakdown)", "phases"),
+        ("campaign units", "units"),
+    ):
+        if not summary[key]:
+            continue
+        lines += [title, header, "  " + "-" * (len(header) - 2)]
+        for row in summary[key]:
             share = f"{row['total'] / denom:6.1%}" if denom > 0 else "     -"
             lines.append(
                 f"  {row['name']:<18} {row['backend']:<22} {row['count']:>6} "
@@ -204,11 +196,6 @@ def render_summary(summary: dict[str, Any]) -> str:
                 f"{row['p95']:>10.4f} {row['max']:>10.4f} {share:>7}"
             )
         lines.append("")
-
-    span_table("roots (total wall-clock)", summary["roots"], summary["root_seconds"])
-    span_table("phases (per-phase / per-backend breakdown)", summary["phases"], summary["root_seconds"])
-    span_table("campaign units", summary["units"], summary["root_seconds"])
-
     if summary["counters"]:
         lines.append("counters")
         for name, value in summary["counters"].items():
@@ -217,23 +204,21 @@ def render_summary(summary: dict[str, Any]) -> str:
         lines.append("")
     if summary["events"]:
         lines.append("events")
-        event_specs = summary.get("event_specs", {})
         for name, count in summary["events"].items():
             lines.append(f"  {name:<42} {count:>14}")
-            specs = event_specs.get(name)
+            specs = summary.get("event_specs", {}).get(name)
             if specs:
-                shown = ", ".join(specs[:4])
                 extra = f" +{len(specs) - 4} more" if len(specs) > 4 else ""
-                lines.append(f"    specs: {shown}{extra}")
+                lines.append(f"    specs: {', '.join(specs[:4])}{extra}")
         lines.append("")
-
     if summary["coverage"] is not None:
         lines.append(
-            f"coverage: phases explain {summary['coverage']:.1%} of "
-            f"{summary['root_seconds']:.4f}s root wall-clock"
+            f"coverage: phases explain {summary['coverage']:.1%} of {denom:.4f}s root wall-clock"
         )
     else:
         lines.append("coverage: no root spans in file")
     if "workers" in summary:
+        from repro.observe.workers import render_worker_table
+
         lines += ["", render_worker_table(summary["workers"])]
     return "\n".join(lines)

@@ -113,12 +113,11 @@ class TestFoldEvents:
             {"ts": 5.0, "run": "r", "ev": "session_end", "elapsed_seconds": 4.0},
         ]
         fold = fold_events(events)
-        spans = fold.spans[("simulate", "phase", "serial")]
-        assert spans.count == 2 and spans.total == 2.0
+        assert fold.spans[("simulate", "phase", "serial")] == (0.5, 1.5)
         assert fold.counters[("slots", "serial")] == 100
         assert fold.events[("fallback", "protocol")] == 1
         assert fold.sessions == {"start": 1, "end": 1}
-        assert fold.session_seconds.values == (4.0,)
+        assert fold.session_seconds == (4.0,)
         assert fold.runs == ("r", "r1")
 
     def test_resource_samples_become_gauges_with_rss_peak(self):
@@ -134,12 +133,6 @@ class TestFoldEvents:
         assert fold.resources["cpu_seconds"][process] == pytest.approx(0.3)
         assert fold.resources["fds"][process] == 7
         assert fold.parent_rss == (100.0, 300.0, 200.0)
-
-    def test_fold_is_frozen(self):
-        import dataclasses
-
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            fold_events([]).runs = ("x",)
 
 
 class TestPrometheusConformance:
@@ -646,7 +639,7 @@ class TestSummarizeSatellites:
         fold = fold_events(read_events(path))
         assert fold.runs == ("goodrun",)
         assert fold.counters == {("slots", "serial"): 7.0}
-        assert fold.spans[("simulate", "phase", "serial")].values == (0.25,)
+        assert fold.spans[("simulate", "phase", "serial")] == (0.25,)
         assert fold.sessions == {"start": 1, "end": 1}
         for argv in (
             ["telemetry", "summarize", str(path)],
