@@ -157,11 +157,11 @@ def fold_events(events: Iterable[dict[str, Any]]) -> TelemetryFold:
                     rss_peak[process] = max(rss, rss_peak.get(process, rss))
                     if attrs.get("source") == "parent":
                         parent_rss.append(rss)
-        elif kind in ("session_start", "session_end"):
-            phase = kind[len("session_"):]
-            sessions[phase] = sessions.get(phase, 0) + 1
-            if number is not None:
-                lifetimes.append(number)
+        elif kind == "session_start":
+            sessions["start"] = sessions.get("start", 0) + 1
+        elif kind == "session_end":
+            sessions["end"] = sessions.get("end", 0) + 1
+            lifetimes.append(number)
     return TelemetryFold(
         runs=tuple(runs),
         spans={key: tuple(values) for key, values in spans.items()},
