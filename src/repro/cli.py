@@ -145,6 +145,7 @@ Experiment ids are case-insensitive (``e3`` and ``E3`` both work).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -1574,25 +1575,29 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _telemetry_events(path: str, parser: argparse.ArgumentParser) -> Iterable[dict]:
+    """Stream the events of a telemetry JSONL file (exit 2 when it is missing)."""
+    from repro.telemetry import iter_events
+
+    if not pathlib.Path(path).is_file():
+        parser.error(
+            f"no telemetry file at {path!r} "
+            "(produce one with --telemetry PATH on run/scenario run/campaign run)"
+        )
+    return iter_events(path)
+
+
 def _command_telemetry(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from repro.telemetry import (
-        filter_events,
-        read_events,
-        render_summary,
-        summarize_events,
-    )
+    from repro.telemetry import filter_events, render_summary, summarize_events
 
-    path = pathlib.Path(args.path)
-    if not path.is_file():
-        parser.error(
-            f"no telemetry file at {args.path!r} "
-            "(produce one with --telemetry PATH on run/scenario run/campaign run)"
-        )
-    events = read_events(path)
-    if not events:
+    # Stream the file into the fold; only session filtering needs it whole.
+    events = _telemetry_events(args.path, parser)
+    first = next(events, None)
+    if first is None:
         parser.error(f"telemetry file {args.path!r} contains no parseable events")
+    events = itertools.chain([first], events)
     if args.run or args.last:
         try:
             events = filter_events(events, runs=args.run, last=args.last)
@@ -1931,12 +1936,8 @@ def _command_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _command_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.report_command == "metrics":
         from repro.observe import fold_events, to_json, to_prometheus
-        from repro.telemetry import iter_events
 
-        path = pathlib.Path(args.telemetry)
-        if not path.is_file():
-            parser.error(f"no telemetry file at {args.telemetry!r}")
-        fold = fold_events(iter_events(path))
+        fold = fold_events(_telemetry_events(args.telemetry, parser))
         rendered = (
             to_prometheus(fold)
             if args.export_format == "prometheus"
@@ -1946,14 +1947,8 @@ def _command_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
     # report html
     from repro.observe import render_html_report
-    from repro.telemetry import iter_events
 
-    events = None
-    if args.telemetry:
-        path = pathlib.Path(args.telemetry)
-        if not path.is_file():
-            parser.error(f"no telemetry file at {args.telemetry!r}")
-        events = iter_events(path)
+    events = _telemetry_events(args.telemetry, parser) if args.telemetry else None
     store_path = pathlib.Path(args.store)
     open_store = args.campaign is not None or store_path.is_dir()
     if not open_store and events is None:
