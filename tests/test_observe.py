@@ -589,6 +589,14 @@ class TestSummarizeSatellites:
         with pytest.raises(SystemExit):
             main(["telemetry", "summarize", str(path), "--run", "zzz"])
 
+    def test_file_without_events_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"ev": "span", "dur', encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry", "summarize", str(path)])
+        assert excinfo.value.code == 2
+        assert "no parseable events" in capsys.readouterr().err
+
     def test_ambiguous_run_prefix_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         for run_id in ("firstrun", "fastrun"):
